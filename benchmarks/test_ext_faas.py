@@ -3,7 +3,8 @@
 Replays the ``repro faas`` scenario — a vision function on a
 container-based FaaS platform serving the sparse diurnal trace — and
 records ``results/BENCH_faas_cli.json`` (the harness references live
-in ``results/BENCH_faas*.json``, written by ``repro faas-bench``).
+in ``results/BENCH_faas*.json``, written by ``repro bench --suite
+faas``).
 The structural claims under test: nighttime gaps exceed the keep-alive
 window so scale-to-zero forces cold starts, cold-start p99 inflates at
 least 2x over warm p99, the GB-second meter bills every invocation,

@@ -1,7 +1,8 @@
 """Extension: the process-parallel sweep engine's speedup and contract.
 
-Runs ``repro sweep-bench`` (full mode, 4-worker pool) through the CLI
-and records ``results/BENCH_sweep_cli.json``.  Structural claims:
+Runs ``repro bench --suite sweep`` (full mode, 4-worker pool) through
+the CLI and records ``results/BENCH_sweep_cli.json``.  Structural
+claims:
 
 * the determinism contract held — the harness's verify step compares
   the pooled run's merged scrape/profile/summary byte-for-byte against
@@ -25,7 +26,7 @@ def test_sweep_speedup_and_determinism(benchmark, results_dir,
     out_file = results_dir / "BENCH_sweep_cli.json"
 
     def run():
-        assert main(["sweep-bench", "--jobs", "4",
+        assert main(["bench", "--suite", "sweep", "--jobs", "4",
                      "--out", str(out_file)]) == 0
         capsys.readouterr()
         return json.loads(out_file.read_text())

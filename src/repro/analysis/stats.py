@@ -13,6 +13,19 @@ import dataclasses
 import numpy as np
 
 
+def nearest_rank_quantile(values, frac: float) -> float:
+    """Exact nearest-rank quantile of raw samples (0.0 when empty).
+
+    Returns the sorted sample at index ``round(frac * (n - 1))``: always
+    an observed value, never an interpolation between two.
+    """
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    return ordered[min(len(ordered) - 1,
+                       round(frac * (len(ordered) - 1)))]
+
+
 @dataclasses.dataclass(frozen=True)
 class ConfidenceInterval:
     """A bootstrap interval for one statistic."""

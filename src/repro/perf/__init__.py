@@ -7,35 +7,36 @@ NumPy model/preprocessing kernels.  This package makes those claims
 
 * :mod:`repro.perf.legacy` — the preserved seed implementations
   (dataclass-event simulator, per-call-label metrics, allocation-per-op
-  kernels) that every speedup is measured against;
+  kernels) that the core suite's speedups are measured against;
 * :mod:`repro.perf.scenarios` — deterministic, verified workloads that
-  run the same work through both implementations;
-* :mod:`repro.perf.bench` — the timing/report/regression-check driver
-  behind the ``repro bench`` CLI; the committed reference lives at
-  ``benchmarks/results/BENCH_core.json``.
+  run the same work two ways (baseline vs optimized);
+* :mod:`repro.perf.bench` — the :data:`~repro.perf.bench.SUITES` table
+  and the one timing/report/regression-check runner behind ``repro
+  bench --suite {core,fluid,profile,faas,sweep}``; committed references
+  live at ``benchmarks/results/BENCH_<suite>[_quick].json``.
 """
 
 from repro.perf.bench import (
     DEFAULT_TOLERANCE,
-    MIN_SPEEDUPS,
-    QUICK_MIN_SPEEDUPS,
+    SUITES,
+    Suite,
     check_regression,
     load_results,
     render_results,
-    run_bench,
+    run_suite,
     write_results,
 )
 from repro.perf.scenarios import Scenario, build_scenarios
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "MIN_SPEEDUPS",
-    "QUICK_MIN_SPEEDUPS",
+    "SUITES",
     "Scenario",
+    "Suite",
     "build_scenarios",
     "check_regression",
     "load_results",
     "render_results",
-    "run_bench",
+    "run_suite",
     "write_results",
 ]

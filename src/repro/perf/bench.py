@@ -1,180 +1,185 @@
-"""The BENCH_core harness: time each optimized layer against its seed.
+"""One bench harness for every suite: verify, then time both sides.
 
-``run_bench`` executes every scenario from :mod:`repro.perf.scenarios`
-— first verifying that baseline and optimized runs agree, then timing
-both (best of N repeats, which rejects scheduler noise better than the
-mean) — and returns a JSON-serializable results document.
+``run_suite`` builds one suite's scenarios from
+:mod:`repro.perf.scenarios`, verifies that each scenario's baseline and
+optimized runs agree, then times both (best of N repeats, which rejects
+scheduler noise better than the mean) and returns a JSON-serializable
+results document.  :data:`SUITES` holds what differs per suite — the
+results name, the scenario builder, the full and quick floors, the
+default repeats and an optional post-step:
+
+* ``core`` (``BENCH_core``) — each optimized hot path against the seed
+  implementation preserved in :mod:`repro.perf.legacy`;
+* ``fluid`` (``BENCH_fluid``) — the hybrid fluid/DES engine against the
+  exact replay on saturated traces; verify is the parity contract, and
+  the post-step adds the frontier workload the exact engine cannot
+  replay, gated on a wall-clock ceiling instead of a speedup;
+* ``profile`` (``BENCH_profile``) — the observability layer's own
+  overhead; verify compares metrics scrapes byte for byte;
+* ``faas`` (``BENCH_faas``) — the serverless backend against a
+  provisioned replica, and scale-to-zero against never-reap;
+* ``sweep`` (``BENCH_sweep``) — the sweep engine sequential against a
+  ``jobs``-worker pool; verify is the merge determinism contract, and
+  the post-step applies the core-count-aware floor.
 
 ``check_regression`` compares a fresh run against a committed
 reference: every scenario must hold its absolute ``min_speedup`` floor
 and stay within a relative tolerance band of the recorded speedup.
-Two references are committed under ``benchmarks/results/``:
-``BENCH_core.json`` (full workloads — the acceptance measurement) and
-``BENCH_core_quick.json`` (shrunken workloads with their own floors).
-CI runs ``repro bench --quick --check
-benchmarks/results/BENCH_core_quick.json`` so an optimization that
-quietly rots fails the build instead of the next paper figure.
-
-``run_fluid_bench`` is the same harness over the BENCH_fluid suite:
-the hybrid fluid/DES engine vs the exact replay on saturated traces,
-with the parity contract as the verification step and its own
-committed references (``BENCH_fluid.json`` / ``BENCH_fluid_quick.json``,
-gated by ``repro fluid --quick --check ...`` in CI).
-
-``run_profile_bench`` prices the observability layer itself (the
-BENCH_profile suite): the same serving replay bare, with a profiler
-attached but disabled, and with it enabled.  Verification compares
-metrics scrapes byte for byte across modes, and the committed
-references (``BENCH_profile.json`` / ``BENCH_profile_quick.json``,
-gated by ``repro profile-bench --quick --check ...`` in CI) bound the
-overhead each mode may cost.
-
-``run_faas_bench`` prices the serverless execution model (the
-BENCH_faas suite): the same sparse diurnal trace through a provisioned
-replica and through :class:`~repro.faas.backend.FaaSBackend`, plus
-never-reap vs scale-to-zero keep-alive.  Verification checks both
-models served the same requests (and that reaping actually happened),
-and the committed references (``BENCH_faas.json`` /
-``BENCH_faas_quick.json``, gated by ``repro faas-bench --quick
---check ...`` in CI) bound the serverless bookkeeping overhead.
-
-``run_sweep_bench`` prices the sweep engine itself (the BENCH_sweep
-suite): the same seed-replicated sparse-diurnal grid run sequentially
-and through :class:`~repro.sweep.SweepRunner` with a worker pool.
-Verification asserts the merged metrics scrape and folded profile are
-byte-identical to the sequential run's — the determinism contract —
-before the wall-clock ratio counts.  The speedup floor is core-count
-aware: 2.5x where at least four effective cores exist, an
-overhead-bound floor below that (``cpu_count`` rides along in the
-results so a multicore host enforces the real bar even against a
-reference recorded on fewer cores).
-
-Every suite runner takes ``jobs``: with ``jobs > 1`` the scenarios
-themselves fan out across processes via the sweep engine (each worker
-rebuilds its scenario from ``(suite, name)`` — spawn-safe).  Timings
-then share the machine, so parallel dispatch is for fast iteration;
-committed references should come from sequential runs.
+Each suite commits a full and a quick reference under
+``benchmarks/results/`` (``BENCH_<suite>.json`` and
+``BENCH_<suite>_quick.json``); CI runs ``repro bench --suite <suite>
+--quick --check benchmarks/results/BENCH_<suite>_quick.json`` for every
+suite, so an optimization that quietly rots fails the build instead of
+the next paper figure.
 """
 
 from __future__ import annotations
 
-import importlib
+import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 from pathlib import Path
 
-from repro.perf.scenarios import Scenario
-
-#: Absolute speedup floors committed with the baseline — the acceptance
-#: bars for the optimization pass.  The regression check enforces them
-#: on every run, independent of the recorded speedups.
-MIN_SPEEDUPS: dict[str, float] = {
-    "simulator_core": 1.2,
-    "instrumented_serving": 2.0,
-    "vit_tiny_forward": 1.5,
-    "preprocess_warp": 1.0,
-}
-
-#: Floors for ``--quick`` runs: the shrunken workloads amortize fixed
-#: setup cost over far less work, so the same code shows smaller
-#: speedups (and the tiny warp loop barely exercises the grid cache).
-#: Quick mode is a CI smoke gate, not the acceptance measurement.
-QUICK_MIN_SPEEDUPS: dict[str, float] = {
-    "simulator_core": 1.2,
-    "instrumented_serving": 1.4,
-    "vit_tiny_forward": 1.5,
-    "preprocess_warp": 0.85,
-}
+from repro.perf.scenarios import (
+    Scenario,
+    build_faas_scenarios,
+    build_fluid_scenarios,
+    build_profile_scenarios,
+    build_scenarios,
+    build_sweep_scenarios,
+    run_fluid_frontier,
+)
 
 #: Relative band around the recorded speedup (0.5 = may lose up to half
 #: the recorded advantage before failing).  Generous on purpose: CI
 #: machines are noisy, and the absolute floors do the hard gating.
 DEFAULT_TOLERANCE = 0.5
 
-#: Floors for the BENCH_fluid suite: the hybrid fluid/DES engine vs the
-#: exact tuple-heap replay on saturated traces.  The diurnal workload
-#: spends most of its day saturated, so nearly all arrivals integrate
-#: analytically; the step workload has a larger exact fraction.
-FLUID_MIN_SPEEDUPS: dict[str, float] = {
-    "fluid_step_parity": 3.0,
-    "fluid_burst_day": 1.5,
-}
+#: Default timing repeats per side in ``--quick`` mode, every suite.
+QUICK_REPEATS = 2
 
-#: Quick-mode floors for BENCH_fluid (shrunken traces amortize the
-#: regime handoffs over less saturated work, and the short burst day
-#: spends most of its hour unsaturated where both engines run the same
-#: exact path — its quick speedup is mostly noise-bounded).
-QUICK_FLUID_MIN_SPEEDUPS: dict[str, float] = {
-    "fluid_step_parity": 2.0,
-    "fluid_burst_day": 1.1,
-}
 
-#: Floors for the BENCH_profile suite.  These bound *overhead*, not
-#: gains: baseline is the bare replay, "optimized" the instrumented
-#: one, so 1.0 means the instrumentation is free.  Attached-but-
-#: disabled must stay within noise of free (the zero-cost contract);
-#: the enabled profiler pays real perf_counter calls per batch and may
-#: cost up to half the run before the gate trips.
-PROFILE_MIN_SPEEDUPS: dict[str, float] = {
-    "profile_off_overhead": 0.85,
-    "profile_on_overhead": 0.5,
-}
+@dataclasses.dataclass(frozen=True)
+class Suite:
+    """What one bench suite runs, how it is gated, and its defaults."""
 
-#: Quick-mode floors for BENCH_profile: the shrunken replay amortizes
-#: interpreter warm-up over less work, so both ratios sit closer to
-#: the noise floor.
-QUICK_PROFILE_MIN_SPEEDUPS: dict[str, float] = {
-    "profile_off_overhead": 0.8,
-    "profile_on_overhead": 0.45,
-}
+    #: ``"suite"`` field of the results document (``BENCH_<suite>``).
+    results_name: str
+    #: ``builder(quick, jobs)`` -> the suite's scenarios.
+    builder: Callable[[bool, int], list[Scenario]]
+    #: Absolute speedup floor per scenario, full and ``--quick`` runs.
+    floors: dict[str, float]
+    quick_floors: dict[str, float]
+    #: Default timing repeats per side in full mode.
+    repeats: int
+    #: Optional ``finish(results, quick, jobs)`` step after timing.
+    finish: Callable[[dict, bool, int], None] | None = None
 
-#: Floors for the BENCH_faas suite.  Like BENCH_profile these bound
-#: *overhead*: the serverless backend pays per-instance spawn/reap
-#: bookkeeping where the provisioned server batches into a static
-#: pool, so its replay of the same trace may be slower — the floor
-#: bounds how much.  The scale-to-zero scenario compares two
-#: serverless runs (never-reap vs reaping), whose cost should be
-#: near parity.
-FAAS_MIN_SPEEDUPS: dict[str, float] = {
-    "faas_vs_provisioned": 0.3,
-    "faas_scale_to_zero": 0.5,
-}
+    def default_repeats(self, quick: bool) -> int:
+        """Timing repeats per side when ``--repeats`` is not given."""
+        return QUICK_REPEATS if quick else self.repeats
 
-#: Quick-mode floors for BENCH_faas (the shrunken trace amortizes
-#: setup over fewer arrivals, pushing both ratios toward noise).
-QUICK_FAAS_MIN_SPEEDUPS: dict[str, float] = {
-    "faas_vs_provisioned": 0.25,
-    "faas_scale_to_zero": 0.4,
-}
 
-#: The BENCH_sweep acceptance bar where parallelism can physically pay:
-#: at least four effective cores (``min(jobs, cpu_count)``).
-SWEEP_MIN_SPEEDUP = 2.5
+def sweep_min_speedup(jobs: int, cpu_count: int | None = None,
+                      quick: bool = False) -> float:
+    """The BENCH_sweep floor this host can honestly be held to.
 
-#: Scenario builder per suite key — the seam both the sequential loop
-#: and the process-pool dispatch share (workers re-resolve the builder
-#: by name, so a Scenario's closures never cross a process boundary).
-_SUITE_BUILDERS: dict[str, tuple[str, str]] = {
-    "core": ("repro.perf.scenarios", "build_scenarios"),
-    "fluid": ("repro.perf.scenarios", "build_fluid_scenarios"),
-    "profile": ("repro.perf.scenarios", "build_profile_scenarios"),
-    "faas": ("repro.perf.scenarios", "build_faas_scenarios"),
-    "sweep": ("repro.perf.scenarios", "build_sweep_scenarios"),
-}
+    With at least four effective cores (``min(jobs, cpu_count)``) the
+    acceptance bar is 2.5x; with two or three the pool can still win
+    but less; on one core a worker pool is pure overhead, so the floor
+    only bounds how much (the determinism verify still runs in full).
+    Quick mode shaves each bar — its shards are too small to amortize
+    worker spawn cost.
+    """
+    if cpu_count is None:
+        cpu_count = os.cpu_count() or 1
+    effective = min(max(1, jobs), max(1, cpu_count))
+    if effective >= 4:
+        return 1.5 if quick else 2.5
+    if effective >= 2:
+        return 1.05 if quick else 1.2
+    return 0.4 if quick else 0.5
 
-#: Rough relative runtimes for longest-expected-job-first dispatch when
-#: scenarios fan out across processes.  Scheduling hints only — a wrong
-#: value changes the tail, never the results.
-_SCENARIO_COST_HINTS: dict[str, float] = {
-    "fluid_burst_day": 10.0,
-    "fluid_step_parity": 6.0,
-    "instrumented_serving": 4.0,
-    "faas_vs_provisioned": 3.0,
-    "faas_scale_to_zero": 3.0,
-    "profile_on_overhead": 2.0,
-    "profile_off_overhead": 2.0,
-    "simulator_core": 2.0,
+
+def _add_fluid_frontier(results: dict, quick: bool, jobs: int) -> None:
+    """BENCH_fluid post-step: time the workload exact replay cannot."""
+    results["frontier"] = run_fluid_frontier(quick=quick)
+
+
+def _apply_sweep_floor(results: dict, quick: bool, jobs: int) -> None:
+    """BENCH_sweep post-step: hold the pool to this host's floor.
+
+    ``jobs``, ``cpu_count`` and the applied floor ride along in the
+    document, so :func:`check_regression` can hold a multicore host to
+    the real bar even against a reference recorded on fewer cores.
+    """
+    cpu_count = os.cpu_count() or 1
+    floor = sweep_min_speedup(jobs, cpu_count, quick)
+    results.update(jobs=jobs, cpu_count=cpu_count)
+    for entry in results["scenarios"].values():
+        entry.update(jobs=jobs, cpu_count=cpu_count, min_speedup=floor)
+
+
+SUITES: dict[str, Suite] = {
+    # Full floors are the acceptance bars of the optimization pass.
+    # Quick workloads amortize fixed setup over far less work, so the
+    # same code shows smaller speedups (and the tiny warp loop barely
+    # exercises the grid cache).
+    "core": Suite(
+        results_name="BENCH_core",
+        builder=lambda quick, jobs: build_scenarios(quick),
+        floors={"simulator_core": 1.2, "instrumented_serving": 2.0,
+                "vit_tiny_forward": 1.5, "preprocess_warp": 1.0},
+        quick_floors={"simulator_core": 1.2,
+                      "instrumented_serving": 1.4,
+                      "vit_tiny_forward": 1.5, "preprocess_warp": 0.85},
+        repeats=4),
+    # The diurnal workload spends most of its day saturated, so nearly
+    # all arrivals integrate analytically; the step workload has a
+    # larger exact fraction.  The short quick burst day is mostly
+    # unsaturated, where both engines run the same exact path.  One
+    # full repeat: the baseline replays ~1M arrivals exactly.
+    "fluid": Suite(
+        results_name="BENCH_fluid",
+        builder=lambda quick, jobs: build_fluid_scenarios(quick),
+        floors={"fluid_step_parity": 3.0, "fluid_burst_day": 1.5},
+        quick_floors={"fluid_step_parity": 2.0, "fluid_burst_day": 1.1},
+        repeats=1,
+        finish=_add_fluid_frontier),
+    # Overhead bounds, not gains: 1.0 means the instrumentation is free.
+    # Attached-but-disabled must stay within noise of free (the
+    # zero-cost contract); the enabled profiler pays real perf_counter
+    # calls per batch and may cost up to half the run.
+    "profile": Suite(
+        results_name="BENCH_profile",
+        builder=lambda quick, jobs: build_profile_scenarios(quick),
+        floors={"profile_off_overhead": 0.85,
+                "profile_on_overhead": 0.5},
+        quick_floors={"profile_off_overhead": 0.8,
+                      "profile_on_overhead": 0.45},
+        repeats=4),
+    # Overhead bounds too: the serverless backend spawns, tracks and
+    # reaps per-instance state where the provisioned server batches
+    # into a static pool; never-reap vs reaping should be near parity.
+    "faas": Suite(
+        results_name="BENCH_faas",
+        builder=lambda quick, jobs: build_faas_scenarios(quick),
+        floors={"faas_vs_provisioned": 0.3, "faas_scale_to_zero": 0.5},
+        quick_floors={"faas_vs_provisioned": 0.25,
+                      "faas_scale_to_zero": 0.4},
+        repeats=4),
+    # The tabled floors are the >=4-core bars; the post-step lowers
+    # them to what this host's cores can honestly deliver.
+    "sweep": Suite(
+        results_name="BENCH_sweep",
+        builder=lambda quick, jobs: build_sweep_scenarios(quick, jobs),
+        floors={"sweep_parallel_replay": sweep_min_speedup(4, 4)},
+        quick_floors={"sweep_parallel_replay":
+                      sweep_min_speedup(4, 4, quick=True)},
+        repeats=3,
+        finish=_apply_sweep_floor),
 }
 
 
@@ -191,8 +196,6 @@ def _best_time(fn, repeats: int) -> float:
 def run_scenario(scenario: Scenario, repeats: int,
                  floors: dict[str, float] | None = None) -> dict:
     """Verify agreement, then time both sides of one scenario."""
-    if floors is None:
-        floors = MIN_SPEEDUPS
     base_result = scenario.baseline()
     opt_result = scenario.optimized()
     scenario.verify(base_result, opt_result)
@@ -205,181 +208,29 @@ def run_scenario(scenario: Scenario, repeats: int,
         "optimized_seconds": optimized_s,
         "speedup": baseline_s / optimized_s if optimized_s > 0
         else float("inf"),
-        "min_speedup": floors.get(scenario.name, 1.0),
+        "min_speedup": (floors or {}).get(scenario.name, 1.0),
         "repeats": repeats,
     }
 
 
-def _build_suite(suite: str, quick: bool, **kwargs) -> list[Scenario]:
-    """Instantiate one suite's scenarios from its registered builder."""
-    module_name, attr = _SUITE_BUILDERS[suite]
-    builder = getattr(importlib.import_module(module_name), attr)
-    return builder(quick=quick, **kwargs)
+def run_suite(name: str, quick: bool = False, repeats: int | None = None,
+              jobs: int = 4) -> dict:
+    """Build, verify and time one :data:`SUITES` entry.
 
-
-def _scenario_worker(params: dict) -> dict:
-    """Sweep worker: rebuild one scenario by name and benchmark it.
-
-    Runs inside a pool worker process, so the scenario — whose
-    baseline/optimized closures cannot be pickled — is reconstructed
-    from ``(suite, name)`` and the result is the plain
-    :func:`run_scenario` dict.
+    ``jobs`` is the sweep suite's pool size; other suites ignore it.
+    Returns the results document ``check_regression`` gates.
     """
-    suite, name = params["suite"], params["name"]
-    for scenario in _build_suite(suite, params["quick"]):
-        if scenario.name == name:
-            return run_scenario(scenario, params["repeats"],
-                                {name: params["floor"]})
-    raise ValueError(f"suite {suite!r} has no scenario {name!r}")
-
-
-def _run_scenario_set(suite: str, bench_name: str, quick: bool,
-                      repeats: int, floors: dict[str, float],
-                      jobs: int = 1,
-                      builder_kwargs: dict | None = None) -> dict:
-    """Shared driver behind every ``run_*_bench``: build, verify, time.
-
-    ``jobs > 1`` dispatches the scenarios through the sweep engine
-    (one shard per scenario, costliest first); ``jobs = 1`` runs them
-    in order in-process.  Either way the results document is keyed by
-    scenario name with the same entry shape.
-    """
-    results: dict = {"suite": bench_name, "quick": quick,
+    suite = SUITES[name]
+    if repeats is None:
+        repeats = suite.default_repeats(quick)
+    floors = suite.quick_floors if quick else suite.floors
+    results: dict = {"suite": suite.results_name, "quick": quick,
                      "scenarios": {}}
-    scenarios = _build_suite(suite, quick, **(builder_kwargs or {}))
-    if jobs <= 1 or len(scenarios) <= 1:
-        for scenario in scenarios:
-            results["scenarios"][scenario.name] = run_scenario(
-                scenario, repeats, floors)
-        return results
-
-    from repro.sweep import SweepRunner, SweepSpec
-
-    spec = SweepSpec(
-        worker="repro.perf.bench:_scenario_worker",
-        grid=[{"suite": suite, "name": s.name, "quick": quick,
-               "repeats": repeats, "floor": floors.get(s.name, 1.0)}
-              for s in scenarios],
-        expected_cost=lambda p: _SCENARIO_COST_HINTS.get(p["name"], 1.0))
-    sweep = SweepRunner(jobs=jobs).run(spec)
-    sweep.raise_on_error()
-    for shard, entry in zip(spec.shards(), sweep.values()):
-        results["scenarios"][shard.params["name"]] = entry
-    results["jobs"] = jobs
-    return results
-
-
-def run_bench(quick: bool = False, repeats: int | None = None,
-              jobs: int = 1) -> dict:
-    """Run the full BENCH_core suite; returns the results document."""
-    if repeats is None:
-        repeats = 2 if quick else 4
-    floors = QUICK_MIN_SPEEDUPS if quick else MIN_SPEEDUPS
-    return _run_scenario_set("core", "BENCH_core", quick, repeats,
-                             floors, jobs=jobs)
-
-
-def run_fluid_bench(quick: bool = False, repeats: int | None = None,
-                    jobs: int = 1) -> dict:
-    """Run the BENCH_fluid suite; returns the results document.
-
-    Every scenario's ``verify`` *is* the DES-vs-fluid parity contract
-    (exact throughput, latency quantiles within tolerance), so a
-    passing run certifies correctness before any timing counts.
-    Default repeats are low — the full baseline replays ~1M arrivals
-    through the exact engine, which is precisely the cost this suite
-    exists to measure.
-    """
-    from repro.perf.scenarios import run_fluid_frontier
-
-    if repeats is None:
-        repeats = 2 if quick else 1
-    floors = QUICK_FLUID_MIN_SPEEDUPS if quick else FLUID_MIN_SPEEDUPS
-    results = _run_scenario_set("fluid", "BENCH_fluid", quick, repeats,
-                                floors, jobs=jobs)
-    results["frontier"] = run_fluid_frontier(quick=quick)
-    return results
-
-
-def run_profile_bench(quick: bool = False, repeats: int | None = None,
-                      jobs: int = 1) -> dict:
-    """Run the BENCH_profile suite; returns the results document.
-
-    Each scenario's verify step compares the metrics scrape of the
-    bare and instrumented runs byte for byte, so a passing run
-    certifies the zero-instrumentation-cost contract before any
-    timing counts.
-    """
-    if repeats is None:
-        repeats = 2 if quick else 4
-    floors = QUICK_PROFILE_MIN_SPEEDUPS if quick else PROFILE_MIN_SPEEDUPS
-    return _run_scenario_set("profile", "BENCH_profile", quick, repeats,
-                             floors, jobs=jobs)
-
-
-def run_faas_bench(quick: bool = False, repeats: int | None = None,
-                   jobs: int = 1) -> dict:
-    """Run the BENCH_faas suite; returns the results document.
-
-    Each scenario's verify step checks the execution models agree on
-    *what* was served (equal ok-response counts; the scale-to-zero
-    scenario additionally proves reaping happened and forced extra
-    cold starts) before any timing counts.
-    """
-    if repeats is None:
-        repeats = 2 if quick else 4
-    floors = QUICK_FAAS_MIN_SPEEDUPS if quick else FAAS_MIN_SPEEDUPS
-    return _run_scenario_set("faas", "BENCH_faas", quick, repeats,
-                             floors, jobs=jobs)
-
-
-def sweep_min_speedup(jobs: int, cpu_count: int | None = None,
-                      quick: bool = False) -> float:
-    """The BENCH_sweep floor this host can honestly be held to.
-
-    With at least four effective cores (``min(jobs, cpu_count)``) the
-    acceptance bar is :data:`SWEEP_MIN_SPEEDUP`; with two or three the
-    pool can still win but less; on one core a worker pool is pure
-    overhead, so the floor only bounds how much (the determinism
-    verify still runs in full).  Quick mode shaves each bar — its
-    shards are too small to amortize worker spawn cost.
-    """
-    if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
-    effective = min(max(1, jobs), max(1, cpu_count))
-    if effective >= 4:
-        return 1.5 if quick else SWEEP_MIN_SPEEDUP
-    if effective >= 2:
-        return 1.05 if quick else 1.2
-    return 0.4 if quick else 0.5
-
-
-def run_sweep_bench(quick: bool = False, repeats: int | None = None,
-                    jobs: int = 4) -> dict:
-    """Run the BENCH_sweep suite; returns the results document.
-
-    Baseline is the sequential (1-worker) sweep, optimized the same
-    spec through a ``jobs``-worker pool.  The verify step asserts the
-    merged scrape, folded profile, and summary statistics are
-    byte-identical across the two — the engine's determinism contract
-    — so the timing only ever measures *how fast*, never *whether it
-    still agrees*.  ``cpu_count`` and the applied floor ride along in
-    the document; see :func:`sweep_min_speedup` for how
-    :func:`check_regression` holds multicore hosts to the real bar.
-    """
-    if repeats is None:
-        repeats = 2 if quick else 3
-    cpu_count = os.cpu_count() or 1
-    floor = sweep_min_speedup(jobs, cpu_count, quick)
-    results = _run_scenario_set(
-        "sweep", "BENCH_sweep", quick, repeats,
-        floors={"sweep_parallel_replay": floor},
-        builder_kwargs={"jobs": jobs})
-    results["jobs"] = jobs
-    results["cpu_count"] = cpu_count
-    for entry in results["scenarios"].values():
-        entry["jobs"] = jobs
-        entry["cpu_count"] = cpu_count
+    for scenario in suite.builder(quick, jobs):
+        results["scenarios"][scenario.name] = run_scenario(
+            scenario, repeats, floors)
+    if suite.finish is not None:
+        suite.finish(results, quick, jobs)
     return results
 
 
@@ -409,8 +260,9 @@ def check_regression(current: dict, reference: dict,
 
     A scenario fails when it is missing, below its absolute
     ``min_speedup`` floor, or below ``reference_speedup * (1 -
-    tolerance)``.  Quick and full runs are not comparable (workload
-    sizes differ), so a mode mismatch fails outright.
+    tolerance)``.  Runs of different suites, or of quick and full
+    workloads, are not comparable, so a suite or mode mismatch fails
+    outright with one message.
 
     Core-count-aware scenarios (BENCH_sweep) record ``cpu_count`` and
     their host-applied ``min_speedup`` per entry.  The floor enforced
@@ -422,6 +274,11 @@ def check_regression(current: dict, reference: dict,
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError("tolerance must lie in [0, 1)")
+    if current.get("suite") != reference.get("suite"):
+        return [f"suite mismatch: reference is a "
+                f"{reference.get('suite')} run, current is "
+                f"{current.get('suite')}; point --check at the "
+                "matching reference"]
     if bool(current.get("quick")) != bool(reference.get("quick")):
         mode = "quick" if reference.get("quick") else "full"
         return [f"mode mismatch: reference is a {mode}-mode run; "
@@ -433,8 +290,8 @@ def check_regression(current: dict, reference: dict,
         if cur is None:
             failures.append(f"{name}: missing from current run")
             continue
-        floor = ref.get("min_speedup", MIN_SPEEDUPS.get(name, 1.0))
-        floor = max(floor, cur.get("min_speedup", 0.0))
+        floor = max(ref.get("min_speedup", 1.0),
+                    cur.get("min_speedup", 0.0))
         cores_differ = (
             "cpu_count" in ref and "cpu_count" in cur
             and ref["cpu_count"] != cur["cpu_count"])
@@ -487,4 +344,10 @@ def render_results(results: dict) -> str:
             f"{frontier['arrivals']:>7} arrivals, "
             f"{frontier['fluid_intervals']} fluid stretches "
             f"(ceiling {frontier['max_seconds']:.0f}s)")
+    if "cpu_count" in results:
+        floor = max(entry["min_speedup"]
+                    for entry in results["scenarios"].values())
+        lines.append(f"pool: {results['jobs']} job(s) on "
+                     f"{results['cpu_count']} core(s); floor "
+                     f"{floor:.2f}x (core-count aware)")
     return "\n".join(lines)

@@ -18,18 +18,12 @@ verifies the two runs agree before their timings mean anything:
   sampling grids on a resize + perspective-warp frame loop; verified by
   ``allclose`` outputs.
 
-A second suite, :func:`build_fluid_scenarios` (``BENCH_fluid``), times
-the hybrid fluid/DES engine (:mod:`repro.serving.fluid`) against the
-exact tuple-heap replay on saturated farm traces — verification is the
-parity contract itself: identical completion counts and latency
-quantiles within a stated tolerance.
-
-A third suite, :func:`build_profile_scenarios` (``BENCH_profile``),
-prices the observability layer itself: the same serving replay with no
-profiler, with a profiler attached but disabled (must be free — the
-zero-cost contract), and with the profiler enabled (must stay cheap).
-Verification asserts byte-identical metrics scrapes across all three,
-so instrumenting a run can never change what it reports.
+The other suites' builders live here too — :func:`build_fluid_scenarios`
+(exact vs hybrid fluid/DES replay; verify is the parity contract),
+:func:`build_profile_scenarios` (bare vs profiled replay; verify is
+byte-identical scrapes), :func:`build_faas_scenarios` and
+:func:`build_sweep_scenarios` — and :data:`repro.perf.bench.SUITES`
+pairs each with its floors.
 
 All inputs are seeded; no wall-clock or RNG state leaks into the
 workload, so any two runs time the same work.
@@ -38,6 +32,7 @@ workload, so any two runs time the same work.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections.abc import Callable
 
 import numpy as np
@@ -84,11 +79,17 @@ def _simulator_churn(sim, n_events: int) -> int:
     return sim.events_processed
 
 
-def _serving_replay(sim_cls, registry_cls, requests: int) -> tuple:
-    """The real serving stack end to end on the given substrate."""
+def _serving_replay(sim_cls, registry_cls, requests: int,
+                    profiler: str = "none") -> tuple:
+    """The real serving stack end to end on the given substrate.
+
+    ``profiler`` is ``"none"``, ``"off"`` (attached but disabled) or
+    ``"on"``.  Returns ``(responses, events_processed, registry)``.
+    """
     from repro.serving.batcher import BatcherConfig
     from repro.serving.client import OpenLoopClient
     from repro.serving.observability import TimeSeriesSampler
+    from repro.serving.profiler import SimProfiler
     from repro.serving.server import ModelConfig, TritonLikeServer
 
     sim = sim_cls()
@@ -97,13 +98,16 @@ def _serving_replay(sim_cls, registry_cls, requests: int) -> tuple:
     server.register(ModelConfig(
         "vit_tiny", lambda n: 0.0004 + 0.00012 * n,
         batcher=BatcherConfig(max_batch_size=16, max_queue_delay=0.002)))
+    if profiler != "none":
+        server.attach_profiler(SimProfiler(clock=lambda: sim.now,
+                                           enabled=(profiler == "on")))
     client = OpenLoopClient(server, "vit_tiny", rate_per_second=800.0,
                             num_requests=requests, seed=7)
     sampler = TimeSeriesSampler(server, interval=0.05)
     client.start()
     sampler.start()
     sim.run()
-    return len(server.responses), sim.events_processed
+    return len(server.responses), sim.events_processed, registry
 
 
 def _profiled_replay(requests: int, mode: str) -> tuple:
@@ -114,32 +118,13 @@ def _profiled_replay(requests: int, mode: str) -> tuple:
     byte across modes, which *is* the zero-instrumentation-cost
     contract (attaching a profiler must not change what a run reports).
     """
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.client import OpenLoopClient
     from repro.serving.events import Simulator
     from repro.serving.exporter import export_registry
-    from repro.serving.observability import (MetricsRegistry,
-                                             TimeSeriesSampler)
-    from repro.serving.profiler import SimProfiler
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.observability import MetricsRegistry
 
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    server = TritonLikeServer(sim, registry=registry)
-    server.register(ModelConfig(
-        "vit_tiny", lambda n: 0.0004 + 0.00012 * n,
-        batcher=BatcherConfig(max_batch_size=16, max_queue_delay=0.002)))
-    if mode != "none":
-        server.attach_profiler(SimProfiler(clock=lambda: sim.now,
-                                           enabled=(mode == "on")))
-    client = OpenLoopClient(server, "vit_tiny", rate_per_second=800.0,
-                            num_requests=requests, seed=7)
-    sampler = TimeSeriesSampler(server, interval=0.05)
-    client.start()
-    sampler.start()
-    sim.run()
-    return (len(server.responses), sim.events_processed,
-            export_registry(registry))
+    responses, events, registry = _serving_replay(
+        Simulator, MetricsRegistry, requests, profiler=mode)
+    return responses, events, export_registry(registry)
 
 
 def build_profile_scenarios(quick: bool = False) -> list[Scenario]:
@@ -151,11 +136,6 @@ def build_profile_scenarios(quick: bool = False) -> list[Scenario]:
     far below free each mode may fall.
     """
     requests = 1500 if quick else 6000
-
-    def replay(mode: str):
-        def run() -> tuple:
-            return _profiled_replay(requests, mode)
-        return run
 
     def identical(a, b) -> None:
         assert a[0] == b[0], (
@@ -171,8 +151,8 @@ def build_profile_scenarios(quick: bool = False) -> list[Scenario]:
             layer="observability",
             description="serving replay: bare vs profiler attached "
                         "but disabled (the zero-cost contract)",
-            baseline=replay("none"),
-            optimized=replay("off"),
+            baseline=functools.partial(_profiled_replay, requests, "none"),
+            optimized=functools.partial(_profiled_replay, requests, "off"),
             verify=identical),
         Scenario(
             name="profile_on_overhead",
@@ -180,8 +160,8 @@ def build_profile_scenarios(quick: bool = False) -> list[Scenario]:
             description="serving replay: bare vs profiler enabled "
                         "(full sim;run / serve;* / control;* "
                         "attribution)",
-            baseline=replay("none"),
-            optimized=replay("on"),
+            baseline=functools.partial(_profiled_replay, requests, "none"),
+            optimized=functools.partial(_profiled_replay, requests, "on"),
             verify=identical),
     ]
 
@@ -223,9 +203,9 @@ def build_scenarios(quick: bool = False) -> list[Scenario]:
                          "the instrumented serving stack"),
             baseline=lambda: _serving_replay(
                 legacy.LegacySimulator, legacy.LegacyMetricsRegistry,
-                n_requests),
+                n_requests)[:2],
             optimized=lambda: _serving_replay(
-                Simulator, MetricsRegistry, n_requests),
+                Simulator, MetricsRegistry, n_requests)[:2],
             verify=counts_equal,
         ),
     ]
@@ -292,7 +272,7 @@ FLUID_PARITY_RTOL = 0.12
 FLUID_PARITY_P50_RTOL = 0.30
 
 
-def _fluid_summary(server, completed: int, latencies) -> dict:
+def _fluid_summary(completed: int, latencies) -> dict:
     """The comparable outcome of one replay (either engine)."""
     values = np.asarray(latencies, dtype=float)
     p50, p95, p99 = np.quantile(values, [0.5, 0.95, 0.99])
@@ -300,16 +280,24 @@ def _fluid_summary(server, completed: int, latencies) -> dict:
             "p50": float(p50), "p95": float(p95), "p99": float(p99)}
 
 
-def _fluid_server():
-    """Single-instance server a peak-30/s diurnal trace saturates."""
+def _fluid_server(instances: int, model: str = "harvest",
+                  per_image: float = 0.05, max_batch_size: int = 64,
+                  max_queue_delay: float = 0.1):
+    """A one-model server the saturated fluid traces overload.
+
+    The ``harvest`` defaults serve 64 images per 3.21 s batch (~19.9
+    req/s per instance): one instance saturates under a peak-30/s
+    diurnal day, two under 60/s survey bursts.
+    """
     from repro.serving.batcher import BatcherConfig
     from repro.serving.server import ModelConfig, TritonLikeServer
 
     server = TritonLikeServer()
     server.register(ModelConfig(
-        "harvest", service_time=lambda n: 0.01 + 0.05 * n,
-        batcher=BatcherConfig(max_batch_size=64, max_queue_delay=0.1),
-        instances=1))  # capacity: 64 img / 3.21 s = ~19.9 req/s
+        model, service_time=lambda n: 0.01 + per_image * n,
+        batcher=BatcherConfig(max_batch_size=max_batch_size,
+                              max_queue_delay=max_queue_delay),
+        instances=instances))
     return server
 
 
@@ -358,29 +346,11 @@ def build_fluid_scenarios(quick: bool = False) -> list[Scenario]:
         burst_desc = ("survey-upload day (~1.25M arrivals, 40 "
                       "saturated bursts), exact vs hybrid")
 
-    def step_server():
-        from repro.serving.batcher import BatcherConfig
-        from repro.serving.server import ModelConfig, TritonLikeServer
-
-        server = TritonLikeServer()
-        server.register(ModelConfig(
-            "crop", service_time=lambda n: 0.01 + 0.02 * n,
-            batcher=BatcherConfig(max_batch_size=32,
-                                  max_queue_delay=0.05),
-            instances=2))  # capacity ~98 img/s vs a 120/s step
-        return server
-
-    def burst_server():
-        from repro.serving.batcher import BatcherConfig
-        from repro.serving.server import ModelConfig, TritonLikeServer
-
-        server = TritonLikeServer()
-        server.register(ModelConfig(
-            "harvest", service_time=lambda n: 0.01 + 0.05 * n,
-            batcher=BatcherConfig(max_batch_size=64,
-                                  max_queue_delay=0.1),
-            instances=2))  # capacity ~39.9 req/s vs 60/s bursts
-        return server
+    # capacity ~98 img/s vs a 120/s step
+    step_server = functools.partial(
+        _fluid_server, 2, model="crop", per_image=0.02,
+        max_batch_size=32, max_queue_delay=0.05)
+    burst_server = functools.partial(_fluid_server, 2)
 
     def exact(make_server, model, trace):
         from repro.serving.traces import TraceReplayer
@@ -390,7 +360,7 @@ def build_fluid_scenarios(quick: bool = False) -> list[Scenario]:
             TraceReplayer(server, model).schedule(trace)
             server.run()
             return _fluid_summary(
-                server, len(server.responses),
+                len(server.responses),
                 [r.latency for r in server.responses if r.ok])
         return run
 
@@ -402,7 +372,7 @@ def build_fluid_scenarios(quick: bool = False) -> list[Scenario]:
             replayer = HybridReplayer(server, model)
             replayer.schedule(trace)
             server.run()
-            return _fluid_summary(server, replayer.completed,
+            return _fluid_summary(replayer.completed,
                                   replayer.latencies())
         return run
 
@@ -457,7 +427,7 @@ def run_fluid_frontier(quick: bool = False) -> dict:
                        "of deep saturation; exact replay infeasible)")
         max_seconds = 90.0
 
-    server = _fluid_server()
+    server = _fluid_server(1)
     replayer = HybridReplayer(server, "harvest")
     replayer.schedule(trace)
     start = time.perf_counter()

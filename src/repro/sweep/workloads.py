@@ -31,15 +31,6 @@ LATENCY_BOUNDS: tuple[float, ...] = (
 )
 
 
-def _quantile(values: list[float], frac: float) -> float:
-    """Exact nearest-rank quantile over one shard's raw samples."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    return ordered[min(len(ordered) - 1,
-                       round(frac * (len(ordered) - 1)))]
-
-
 def replay_sparse_diurnal(params: dict) -> dict:
     """Replay one seeded sparse-diurnal day against a Triton-like server.
 
@@ -55,6 +46,7 @@ def replay_sparse_diurnal(params: dict) -> dict:
     ``night_rate``, ``service_time_base``, ``service_time_per_image``,
     ``instances``, ``max_batch_size``, ``max_queue_delay``.
     """
+    from repro.analysis.stats import nearest_rank_quantile
     from repro.serving.batcher import BatcherConfig
     from repro.serving.observability import MetricsRegistry
     from repro.serving.profiler import SimProfiler
@@ -98,9 +90,9 @@ def replay_sparse_diurnal(params: dict) -> dict:
         "completed": len(latencies),
         "sim_seconds": sim.now,
         "events": sim.events_processed,
-        "p50": _quantile(latencies, 0.50),
-        "p95": _quantile(latencies, 0.95),
-        "p99": _quantile(latencies, 0.99),
+        "p50": nearest_rank_quantile(latencies, 0.50),
+        "p95": nearest_rank_quantile(latencies, 0.95),
+        "p99": nearest_rank_quantile(latencies, 0.99),
         "summary": summary,
         "registry": registry,
         "profiler": profiler,

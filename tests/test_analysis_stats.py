@@ -6,8 +6,23 @@ import pytest
 from repro.analysis.stats import (
     bootstrap_ci,
     latency_cis,
+    nearest_rank_quantile,
     probability_a_beats_b,
 )
+
+
+class TestNearestRankQuantile:
+    def test_picks_an_observed_sample(self):
+        values = [5.0, 1.0, 4.0, 2.0, 3.0]
+        assert nearest_rank_quantile(values, 0.5) == 3.0
+        assert nearest_rank_quantile(values, 0.0) == 1.0
+        assert nearest_rank_quantile(values, 1.0) == 5.0
+        # rank round(0.6 * 4) = 2 -> no interpolation between samples
+        assert nearest_rank_quantile([0.0, 10.0, 20.0, 30.0, 40.0],
+                                     0.6) == 20.0
+
+    def test_empty_input_is_zero(self):
+        assert nearest_rank_quantile([], 0.99) == 0.0
 
 
 class TestBootstrapCI:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.perf.bench import SUITES
 
 
 class TestReport:
@@ -383,7 +384,8 @@ class TestProfile:
 
 class TestProfileBench:
     def test_quick_run_reports_overhead_ratios(self, capsys):
-        assert main(["profile-bench", "--quick", "--repeats", "1"]) == 0
+        assert main(["bench", "--suite", "profile", "--quick",
+                     "--repeats", "1"]) == 0
         out = capsys.readouterr().out
         assert "BENCH_profile" in out
         assert "profile_off_overhead" in out
@@ -447,9 +449,11 @@ class TestSweep:
 
 
 class TestSweepBench:
+    ARGS = ["bench", "--suite", "sweep", "--quick", "--repeats", "1",
+            "--jobs", "2"]
+
     def test_quick_run_verifies_and_reports(self, capsys):
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2"]) == 0
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
         assert "BENCH_sweep" in out
         assert "sweep_parallel_replay" in out
@@ -457,9 +461,21 @@ class TestSweepBench:
 
     def test_check_gates_against_reference(self, capsys, tmp_path):
         ref = tmp_path / "ref.json"
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2", "--out", str(ref)]) == 0
+        assert main(self.ARGS + ["--out", str(ref)]) == 0
         capsys.readouterr()
-        assert main(["sweep-bench", "--quick", "--repeats", "1",
-                     "--jobs", "2", "--check", str(ref)]) == 0
+        assert main(self.ARGS + ["--check", str(ref)]) == 0
         assert "regression check" in capsys.readouterr().out
+
+
+class TestBenchSuites:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_every_suite_is_a_choice(self, name):
+        args = build_parser().parse_args(["bench", "--suite", name])
+        assert args.suite == name
+
+    @pytest.mark.parametrize("command", ["fluid", "profile-bench",
+                                         "faas-bench", "sweep-bench"])
+    def test_old_bench_commands_are_gone(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--quick"])
+        assert "invalid choice" in capsys.readouterr().err

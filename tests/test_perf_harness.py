@@ -5,7 +5,7 @@ Covers the regression guarantees the optimization PR makes:
 parity between the tuple-heap simulator and the preserved seed
 simulator, bound-handle export parity, trace sampling + span pooling,
 MAC-accounting parity on the packed kernel path, the preprocessing grid
-cache, and the ``repro bench`` regression-check logic.
+cache, and the ``repro bench --suite`` regression-check logic.
 """
 
 import numpy as np
@@ -13,12 +13,12 @@ import pytest
 
 from repro.perf import legacy
 from repro.perf.bench import (
-    MIN_SPEEDUPS,
+    SUITES,
     check_regression,
     render_results,
     run_scenario,
 )
-from repro.perf.scenarios import Scenario, build_scenarios
+from repro.perf.scenarios import Scenario
 from repro.serving.events import Simulator
 
 
@@ -366,10 +366,10 @@ class TestBenchHarness:
     """The regression-check logic behind ``repro bench --check``."""
 
     @staticmethod
-    def _doc(quick=False, **speedups):
-        return {"suite": "BENCH_core", "quick": quick, "scenarios": {
+    def _doc(quick=False, suite="BENCH_core", **speedups):
+        return {"suite": suite, "quick": quick, "scenarios": {
             name: {"layer": "x", "speedup": s,
-                   "min_speedup": MIN_SPEEDUPS.get(name, 1.0),
+                   "min_speedup": SUITES["core"].floors.get(name, 1.0),
                    "baseline_seconds": s, "optimized_seconds": 1.0,
                    "repeats": 2}
             for name, s in speedups.items()}}
@@ -403,6 +403,16 @@ class TestBenchHarness:
         [failure] = check_regression(cur, ref)
         assert "mode mismatch" in failure
 
+    def test_suite_mismatch_fails_once(self):
+        # A reference from another suite must not read as one
+        # "missing" line per scenario — or, with a shared scenario
+        # name, pass silently.
+        ref = self._doc(suite="BENCH_fluid", simulator_core=10.0,
+                        vit_tiny_forward=2.0)
+        cur = self._doc(simulator_core=10.0)
+        [failure] = check_regression(cur, ref)
+        assert "suite mismatch" in failure and "BENCH_fluid" in failure
+
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             check_regression(self._doc(), self._doc(), tolerance=1.0)
@@ -427,6 +437,9 @@ class TestBenchHarness:
             {"scenarios": {"trivial": entry}})
         assert "trivial" in table and "x" in table
 
-    def test_build_scenarios_names_are_gated(self):
-        names = {s.name for s in build_scenarios(quick=True)}
-        assert names == set(MIN_SPEEDUPS)
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_suite_floors_gate_every_scenario(self, name):
+        # A scenario without a floor would silently be held to 1.0.
+        suite = SUITES[name]
+        names = {s.name for s in suite.builder(True, 2)}
+        assert names == set(suite.quick_floors) == set(suite.floors)

@@ -62,19 +62,6 @@ uplinks = [e for e in payload["traceEvents"]
 assert uplinks, "network smoke produced no uplink spans"
 print(f"network smoke ok: deterministic, {len(uplinks)} uplink spans")
 EOF
-# Bench smoke + perf-regression gate: the quick BENCH_core suite must
-# verify (baseline and optimized runs agree) and hold the committed
-# quick-mode speedup floors/bands.
-PYTHONPATH=src python -m repro bench --quick \
-    --check benchmarks/results/BENCH_core_quick.json
-echo "bench smoke ok: quick suite within committed bounds"
-# Fluid smoke + parity gate: the quick BENCH_fluid suite must hold the
-# DES-vs-hybrid parity contract (exact throughput, tail quantiles in
-# tolerance — verified inside the harness) and the committed quick-mode
-# speedup floors and frontier wall-clock ceiling.
-PYTHONPATH=src python -m repro fluid --quick \
-    --check benchmarks/results/BENCH_fluid_quick.json
-echo "fluid smoke ok: parity verified, quick suite within bounds"
 # Profile smoke + determinism: the profiled replay must exit 0 and two
 # identical invocations must produce byte-identical stdout, report
 # JSON, speedscope JSON, and folded stacks.
@@ -98,13 +85,6 @@ cmp "$PROF_DIR/first.json" "$PROF_DIR/profile.json"
 cmp "$PROF_DIR/first.speedscope.json" "$PROF_DIR/profile.speedscope.json"
 cmp "$PROF_DIR/first.folded" "$PROF_DIR/profile.folded"
 echo "profile smoke ok: deterministic across runs"
-# Profiler overhead gate: the quick BENCH_profile suite must verify the
-# zero-instrumentation-cost contract (bare vs attached-but-disabled vs
-# enabled scrapes byte-identical) and hold the committed overhead
-# floors.
-PYTHONPATH=src python -m repro profile-bench --quick \
-    --check benchmarks/results/BENCH_profile_quick.json
-echo "profile-bench smoke ok: zero-cost contract verified, within bounds"
 # FaaS smoke + determinism: the serverless replay must exit 0 and two
 # identical invocations must produce byte-identical stdout and JSON.
 FAAS_DIR="$(mktemp -d -t harvest_faas.XXXXXX)"
@@ -117,12 +97,6 @@ PYTHONPATH=src python -m repro faas --duration 3600 --seed 1 \
 cmp "$FAAS_DIR/a.txt" "$FAAS_DIR/b.txt"
 cmp "$FAAS_DIR/first.json" "$FAAS_DIR/faas.json"
 echo "faas smoke ok: deterministic across runs"
-# FaaS bench gate: the quick BENCH_faas suite must verify (serverless
-# and provisioned replays serve every arrival, scale-to-zero actually
-# reaps) and hold the committed quick-mode speedup floors/bands.
-PYTHONPATH=src python -m repro faas-bench --quick \
-    --check benchmarks/results/BENCH_faas_quick.json
-echo "faas-bench smoke ok: quick suite within committed bounds"
 # Sweep smoke + cross-worker determinism: the same sweep run with one
 # worker and with a two-process pool must produce byte-identical
 # stdout, JSON, and merged metrics scrape — the engine's determinism
@@ -141,10 +115,15 @@ cmp "$SWEEP_DIR/a.txt" "$SWEEP_DIR/b.txt"
 cmp "$SWEEP_DIR/first.json" "$SWEEP_DIR/sweep.json"
 cmp "$SWEEP_DIR/first.prom" "$SWEEP_DIR/sweep.prom"
 echo "sweep smoke ok: byte-identical across 1-worker and 2-worker runs"
-# Sweep bench gate: the quick BENCH_sweep suite must verify the merged
-# scrape/profile/summary equal the sequential run's and hold the
-# committed floors (core-count aware: 2.5x only where >=4 effective
-# cores exist, an overhead bound below that).
-PYTHONPATH=src python -m repro sweep-bench --quick \
-    --check benchmarks/results/BENCH_sweep_quick.json
-echo "sweep-bench smoke ok: merge determinism verified, within bounds"
+# Bench gates: every quick suite must verify (each scenario's baseline
+# and optimized sides agree: legacy parity, the DES-vs-fluid parity
+# contract, byte-identical scrapes with the profiler attached, equal
+# served counts, merge determinism across the pool) and hold its
+# committed quick-mode floors, bands and frontier ceiling.  The sweep
+# floor is core-count aware: 2.5x only where >=4 effective cores exist,
+# an overhead bound below that.
+for suite in core fluid profile faas sweep; do
+    PYTHONPATH=src python -m repro bench --suite "$suite" --quick \
+        --check "benchmarks/results/BENCH_${suite}_quick.json"
+    echo "bench $suite ok: quick suite within committed bounds"
+done
