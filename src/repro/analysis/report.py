@@ -62,15 +62,17 @@ def render_rows(title: str, rows: list[dict]) -> str:
 def registry_stage_breakdown(registry) -> dict[str, dict]:
     """Per-stage time summary from a live metrics registry.
 
-    The same shape as :func:`repro.serving.tracing.stage_breakdown` —
-    {stage: {count, total_seconds, mean_seconds, retried_attempts}}
+    The same shape as :func:`repro.serving.trace_export.stage_breakdown`
+    — {stage: {count, total_seconds, mean_seconds, retried_attempts}}
     plus the ``"queued"`` pseudo-stage — but computed from the
     registry's ``execution_seconds`` / ``queue_wait_seconds``
-    histograms instead of re-walking completed response traces, so it
-    works mid-run and at production request volumes.  One difference in
-    granularity: stage counts here are *batch executions* (what an
-    instance actually ran), while the tracing view counts per-request
-    spans; queue waits are per request in both.
+    histograms instead of walking retained traces, so it works mid-run,
+    without tracing, and at production request volumes.  Two
+    differences in granularity: stage counts here are *batch
+    executions* (what an instance actually ran), while the trace view
+    counts per-request ``execute`` spans; and ``queued`` here is the
+    batcher's measured queue wait, while the trace view books every
+    second outside an execute span.
     """
     out: dict[str, dict] = {}
     exec_hist = registry.get("execution_seconds")

@@ -1150,9 +1150,9 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     stats = backend.function_stats("infer")
     served = [r for r in backend.responses if r.status == "ok"]
     cold = [r.latency for r in served
-            if "faas:cold_start_seconds" in r.request.stage_times]
+            if r.request.request_id in backend.cold_started]
     warm = [r.latency for r in served
-            if "faas:cold_start_seconds" not in r.request.stage_times]
+            if r.request.request_id not in backend.cold_started]
 
     warm_p50, warm_p99 = quantile(warm, 0.50), quantile(warm, 0.99)
     cold_p50, cold_p99 = quantile(cold, 0.50), quantile(cold, 0.99)

@@ -146,6 +146,9 @@ class FaaSBackend:
         self._rng = None if seed is None else np.random.default_rng(seed)
         self.draining = False
         self.responses: list[Response] = []
+        #: Ids of the requests that paid a cold start (spawned their
+        #: own sandbox instead of finding a warm one).
+        self.cold_started: set[int] = set()
         self._on_response: Callable[[Response], None] | None = None
         #: Optional :class:`~repro.serving.tracectx.TraceContext` for
         #: lifecycle events that belong to no request (instance reaps,
@@ -385,8 +388,7 @@ class FaaSBackend:
         if request is not None:
             fn.stats.cold_starts += 1
             cold_handle.inc()
-            request.stage_times["faas:cold_start_seconds"] = \
-                sandbox + init
+            self.cold_started.add(request.request_id)
         else:
             fn.stats.prewarms += 1
             self._c_prewarms.inc(function=fn.config.name)
@@ -444,7 +446,7 @@ class FaaSBackend:
                 f"service time for {request.num_images} images is "
                 "negative")
         start = self.sim.now
-        request.stage_times[f"{inst.name}:start"] = start
+        request.first_start = start
         span = None
         if request.trace is not None:
             span = request.trace.begin(
@@ -455,10 +457,9 @@ class FaaSBackend:
         def finish() -> None:
             fn.stats.invocations += 1
             fn.stats.busy_seconds += duration
-            request.stage_times[f"{inst.name}:end"] = self.sim.now
             if span is not None:
                 request.trace.end(span, self.sim.now)
-            cold = "faas:cold_start_seconds" in request.stage_times
+            cold = request.request_id in self.cold_started
             self._c_invocations.inc(
                 function=fn.config.name,
                 start="cold" if cold else "warm")

@@ -28,8 +28,9 @@ deterministic discrete-event core:
 * :mod:`repro.serving.tracectx` — distributed-tracing contexts carried
   by requests across continuum and serving layers;
 * :mod:`repro.serving.trace_export` — Chrome/Perfetto trace-event JSON
-  export, critical-path analysis over those contexts, and the
-  exemplar-joined tail-latency attribution report;
+  export, critical-path analysis over those contexts, per-request
+  Gantt and per-stage execution breakdowns, and the exemplar-joined
+  tail-latency attribution report;
 * :mod:`repro.serving.profiler` — sim-time/wall-clock cost attribution
   across the component hierarchy with folded-stack and speedscope
   export;
@@ -83,13 +84,6 @@ from repro.serving.observability import (
     SamplePoint,
     TimeSeriesSampler,
 )
-from repro.serving.tracing import (
-    RequestTrace,
-    Span,
-    render_gantt,
-    stage_breakdown,
-    trace_of,
-)
 from repro.serving.profiler import ProfileScope, SimProfiler
 from repro.serving.tracectx import SpanPool, SpanRecord, TraceContext
 from repro.serving.trace_export import (
@@ -99,6 +93,8 @@ from repro.serving.trace_export import (
     export_chrome_trace,
     render_attribution,
     render_critical_path,
+    render_gantt,
+    stage_breakdown,
     validate_chrome_trace,
 )
 from repro.serving.slo import BurnAlert, SLOConfig, SLOMonitor
@@ -141,11 +137,6 @@ __all__ = [
     "MetricsRegistry",
     "SamplePoint",
     "TimeSeriesSampler",
-    "RequestTrace",
-    "Span",
-    "render_gantt",
-    "stage_breakdown",
-    "trace_of",
     "ProfileScope",
     "SimProfiler",
     "SpanPool",
@@ -157,6 +148,8 @@ __all__ = [
     "export_chrome_trace",
     "render_attribution",
     "render_critical_path",
+    "render_gantt",
+    "stage_breakdown",
     "validate_chrome_trace",
     "BurnAlert",
     "SLOConfig",

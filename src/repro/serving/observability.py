@@ -19,7 +19,7 @@ The server, batcher, and backend instances emit into the registry as
 requests flow; :func:`repro.serving.exporter.export_registry` renders a
 scrape, and :func:`repro.analysis.report.registry_stage_breakdown`
 summarizes the per-stage histograms in the same shape as
-:func:`repro.serving.tracing.stage_breakdown`.
+:func:`repro.serving.trace_export.stage_breakdown`.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class Metric:
     """Base class for one named metric family (all label sets)."""
 
     kind = "untyped"
+    #: The bound-handle class :meth:`labels` hands out.
+    _bound: type
 
     def __init__(self, name: str, help: str,
                  clock: Callable[[], float]):
@@ -72,9 +74,6 @@ class Metric:
         #: Bound per-label-set handles, keyed like the value stores.
         self._children: dict[LabelKey, object] = {}
 
-    def _touch(self, key: LabelKey) -> None:
-        self.last_updated[key] = self._clock()
-
     def labels(self, **labels: str):
         """A handle bound to one label set (the steady-state fast path).
 
@@ -82,19 +81,15 @@ class Metric:
         when the label values are known — and each subsequent update is
         a direct store into the family's value dict: no kwargs
         packing, no per-call sort, no key tuple allocation.  Handles
-        write through to the parent family, so exports and reads stay
-        byte-identical to the keyword-argument path.
+        write through to the parent family, and the keyword-argument
+        updates (``inc(stage=...)``, ``observe(v, stage=...)``) delegate
+        to the handle, so each metric kind has one write path.
         """
         key = _label_key(labels)
         child = self._children.get(key)
         if child is None:
-            child = self._make_child(key)
-            self._children[key] = child
+            child = self._children[key] = self._bound(self, key)
         return child
-
-    def _make_child(self, key: LabelKey):
-        raise NotImplementedError(
-            f"{self.kind} metrics do not support bound handles")
 
     def label_sets(self) -> list[LabelKey]:
         """Every label set this metric has been updated with."""
@@ -136,17 +131,27 @@ class Metric:
             self._clock = _frozen_clock
 
 
-class BoundCounter:
-    """A :class:`Counter` handle pre-bound to one label set."""
+class _BoundValue:
+    """A counter or gauge handle pre-bound to one label set."""
 
     __slots__ = ("_values", "_last", "_clock", "_key", "name")
 
-    def __init__(self, parent: "Counter", key: LabelKey):
+    def __init__(self, parent: "_ValueMetric", key: LabelKey):
         self._values = parent._values
         self._last = parent.last_updated
         self._clock = parent._clock
         self._key = key
         self.name = parent.name
+
+    def value(self) -> float:
+        """Current value of the bound series (0 if never set)."""
+        return self._values.get(self._key, 0.0)
+
+
+class BoundCounter(_BoundValue):
+    """A :class:`Counter` handle pre-bound to one label set."""
+
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be >= 0) to the bound series."""
@@ -156,22 +161,11 @@ class BoundCounter:
         values[key] = values.get(key, 0.0) + amount
         self._last[key] = self._clock()
 
-    def value(self) -> float:
-        """Current value of the bound series (0 if never set)."""
-        return self._values.get(self._key, 0.0)
 
-
-class BoundGauge:
+class BoundGauge(_BoundValue):
     """A :class:`Gauge` handle pre-bound to one label set."""
 
-    __slots__ = ("_values", "_last", "_clock", "_key", "name")
-
-    def __init__(self, parent: "Gauge", key: LabelKey):
-        self._values = parent._values
-        self._last = parent.last_updated
-        self._clock = parent._clock
-        self._key = key
-        self.name = parent.name
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         """Set the bound series to ``value``."""
@@ -183,10 +177,6 @@ class BoundGauge:
         values, key = self._values, self._key
         values[key] = values.get(key, 0.0) + amount
         self._last[key] = self._clock()
-
-    def value(self) -> float:
-        """Current value of the bound series (0 if never set)."""
-        return self._values.get(self._key, 0.0)
 
 
 class BoundHistogram:
@@ -212,11 +202,13 @@ class BoundHistogram:
     def observe(self, value: float, trace_id: str | None = None) -> None:
         """Record one observation into the bound series.
 
-        ``trace_id`` attaches an OpenMetrics exemplar — the
-        ``(value, trace_id, sim_time)`` witness for the bucket the
-        observation lands in (last observation wins, which is
-        deterministic under the sim clock) — when the family has
-        exemplars enabled; it is ignored otherwise.
+        The bucket is the first bound ``>= value`` (``bisect_left``:
+        Prometheus' ``le`` semantics), or the overflow ``+Inf`` bucket
+        when the value exceeds every bound.  ``trace_id`` attaches an
+        OpenMetrics exemplar — the ``(value, trace_id, sim_time)``
+        witness for the bucket the observation lands in (last
+        observation wins, which is deterministic under the sim clock) —
+        when the family has exemplars enabled; it is ignored otherwise.
         """
         series = self._series
         if series is None:
@@ -259,26 +251,32 @@ class BoundHistogram:
         self._last[self._key] = self._clock()
 
 
-class Counter(Metric):
-    """A monotonically increasing value per label set."""
-
-    kind = "counter"
+class _ValueMetric(Metric):
+    """A counter or gauge family: one float per label set."""
 
     def __init__(self, name: str, help: str,
                  clock: Callable[[], float]):
         super().__init__(name, help, clock)
         self._values: dict[LabelKey, float] = {}
 
+    def value(self, **labels: str) -> float:
+        """Current value of the labelled series (0 if never set)."""
+        return self._values.get(_label_key(labels), 0.0)
+
+    def items(self) -> list[tuple[LabelKey, float]]:
+        """(labels, value) pairs in sorted label order."""
+        return sorted(self._values.items())
+
+
+class Counter(_ValueMetric):
+    """A monotonically increasing value per label set."""
+
+    kind = "counter"
+    _bound = BoundCounter
+
     def inc(self, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` (must be >= 0) to the labelled series."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-        self._touch(key)
-
-    def _make_child(self, key: LabelKey) -> BoundCounter:
-        return BoundCounter(self, key)
+        self.labels(**labels).inc(amount)
 
     def merge(self, other: "Counter") -> "Counter":
         """Fold another shard's counter into this one (sum per series).
@@ -294,43 +292,24 @@ class Counter(Metric):
         self._merge_freshness(other)
         return self
 
-    def value(self, **labels: str) -> float:
-        """Current value of the labelled series (0 if never set)."""
-        return self._values.get(_label_key(labels), 0.0)
-
     def total(self) -> float:
         """Sum across every label set."""
         return sum(self._values.values())
 
-    def items(self) -> list[tuple[LabelKey, float]]:
-        """(labels, value) pairs in sorted label order."""
-        return sorted(self._values.items())
 
-
-class Gauge(Metric):
+class Gauge(_ValueMetric):
     """A value that can go up and down per label set."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str,
-                 clock: Callable[[], float]):
-        super().__init__(name, help, clock)
-        self._values: dict[LabelKey, float] = {}
+    _bound = BoundGauge
 
     def set(self, value: float, **labels: str) -> None:
         """Set the labelled series to ``value``."""
-        key = _label_key(labels)
-        self._values[key] = float(value)
-        self._touch(key)
+        self.labels(**labels).set(value)
 
     def add(self, amount: float, **labels: str) -> None:
         """Adjust the labelled series by ``amount`` (either sign)."""
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-        self._touch(key)
-
-    def _make_child(self, key: LabelKey) -> BoundGauge:
-        return BoundGauge(self, key)
+        self.labels(**labels).add(amount)
 
     def merge(self, other: "Gauge") -> "Gauge":
         """Fold another shard's gauge into this one (freshest wins).
@@ -353,10 +332,6 @@ class Gauge(Metric):
         self._merge_freshness(other)
         return self
 
-    def value(self, **labels: str) -> float:
-        """Current value of the labelled series (0 if never set)."""
-        return self._values.get(_label_key(labels), 0.0)
-
     def remove(self, **labels: str) -> bool:
         """Drop the labelled series entirely (returns whether it existed).
 
@@ -369,10 +344,6 @@ class Gauge(Metric):
         existed = self._values.pop(key, None) is not None
         self.last_updated.pop(key, None)
         return existed
-
-    def items(self) -> list[tuple[LabelKey, float]]:
-        """(labels, value) pairs in sorted label order."""
-        return sorted(self._values.items())
 
 
 @dataclasses.dataclass
@@ -401,6 +372,7 @@ class Histogram(Metric):
     """
 
     kind = "histogram"
+    _bound = BoundHistogram
 
     def __init__(self, name: str, help: str,
                  clock: Callable[[], float],
@@ -435,34 +407,14 @@ class Histogram(Metric):
 
     def observe(self, value: float, *, trace_id: str | None = None,
                 **labels: str) -> None:
-        """Record one observation into the labelled series.
-
-        The bucket index comes from a binary search over the sorted
-        bounds: ``bisect_left`` returns the first bound ``>= value``
-        (Prometheus' ``le`` semantics) and the overflow ``+Inf`` bucket
-        when the value exceeds every bound.  ``trace_id`` attaches an
-        exemplar when the family has :meth:`enable_exemplars` on.
-        """
-        key = _label_key(labels)
-        series = self._ensure_series(key)
-        index = bisect_left(self.buckets, value)
-        series.bucket_counts[index] += 1
-        series.sum += value
-        series.count += 1
-        if trace_id is not None and self._exemplars_enabled:
-            exemplars = series.exemplars
-            if exemplars is None:
-                exemplars = series.exemplars = {}
-            exemplars[index] = (value, str(trace_id), self._clock())
-        self._touch(key)
+        """Record one observation into the labelled series (see
+        :meth:`BoundHistogram.observe`)."""
+        self.labels(**labels).observe(value, trace_id)
 
     def observe_many(self, values, **labels: str) -> None:
         """Vectorized batch ingestion into the labelled series (see
         :meth:`BoundHistogram.observe_many`)."""
         self.labels(**labels).observe_many(values)
-
-    def _make_child(self, key: LabelKey) -> BoundHistogram:
-        return BoundHistogram(self, key)
 
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold another shard's histogram into this one.

@@ -26,8 +26,11 @@ class Request:
     priority: int = 0
     request_id: int = dataclasses.field(
         default_factory=lambda: next(_request_ids))
-    #: Timestamps stamped by the server as the request advances.
-    stage_times: dict[str, float] = dataclasses.field(default_factory=dict)
+    #: When the first backend execution began (None until one starts).
+    first_start: float | None = None
+    #: Backend executions started per stage, retries included (None
+    #: until the first execution).
+    attempts: dict[str, int] | None = None
     #: Optional distributed-tracing context (see
     #: :mod:`repro.serving.tracectx`).  None = tracing off: every
     #: instrumentation point is a no-op and the request behaves exactly
@@ -72,8 +75,12 @@ class Response:
 
     @property
     def queue_delay(self) -> float:
-        """Seconds spent queued before the first backend execution."""
-        first_start = min(
-            (t for name, t in self.request.stage_times.items()
-             if name.endswith(":start")), default=self.completion_time)
+        """Seconds spent queued before the first backend execution.
+
+        A request that never executed (rejected on arrival) spent its
+        whole latency queued.
+        """
+        first_start = self.request.first_start
+        if first_start is None:
+            first_start = self.completion_time
         return first_start - self.request.arrival_time

@@ -459,9 +459,9 @@ class TritonLikeServer:
         """Retry failed executions; exhaust the budget -> failed status."""
         config = self._models[stage]
         for request in batch:
-            attempts = request.stage_times.get(f"{stage}:retries", 0) + 1
-            request.stage_times[f"{stage}:retries"] = attempts
-            if attempts <= config.max_retries:
+            # Every failure ends one execution, so the executions
+            # started on this stage are the failures so far.
+            if request.attempts[stage] <= config.max_retries:
                 self._c_retries.inc(stage=stage)
                 self._enqueue(stage, request)
             else:

@@ -147,6 +147,106 @@ def validate_chrome_trace(text: str) -> dict:
 
 
 # ----------------------------------------------------------------------
+# Execution views: per-request Gantt and per-stage breakdown
+# ----------------------------------------------------------------------
+def execute_spans(trace: TraceContext) -> list[tuple[str, SpanRecord]]:
+    """The trace's closed ``execute`` spans as ``(label, span)`` rows.
+
+    The label is the instance name, suffixed ``@<attempt>`` for a retry
+    (``vit_small#0@1`` is the first retry), so a request that failed
+    and was re-executed shows both the occupied detection window and
+    the successful run.  Rows are ordered by start time, then label.
+    """
+    rows = []
+    for span in trace.spans:
+        if span.name != "execute" or span.end is None:
+            continue
+        attempt = span.args["attempt"]
+        label = span.args["instance"]
+        rows.append((f"{label}@{attempt}" if attempt else label, span))
+    rows.sort(key=lambda row: (row[1].start, row[0]))
+    return rows
+
+
+def queued_seconds(trace: TraceContext) -> float:
+    """Latency not covered by any execute span (queueing + scheduling).
+
+    Coverage is the *union* of the execute spans, so ensemble branches
+    running in parallel count once rather than once per branch.
+    """
+    if not trace.closed:
+        raise ValueError("cannot measure an open trace")
+    lo, hi = trace.root.start, trace.root.end
+    covered, reach = 0.0, lo
+    for _, span in execute_spans(trace):
+        start, end = max(span.start, reach), min(span.end, hi)
+        if end > start:
+            covered += end - start
+            reach = end
+    return trace.latency - covered
+
+
+def render_gantt(trace: TraceContext, width: int = 60) -> str:
+    """ASCII Gantt chart of one closed trace's execute spans.
+
+    A zero-duration trace (a request shed the instant it arrived) has
+    no timeline to scale bars against; it renders as a degenerate
+    one-column chart — every span a single ``#`` at the origin — rather
+    than dividing by the total.
+    """
+    if width < 10:
+        raise ValueError("width must be >= 10")
+    total = trace.latency
+    lines = [f"request {trace.trace_id} ({trace.status}): "
+             f"{total * 1e3:.2f} ms "
+             f"(queued {queued_seconds(trace) * 1e3:.2f} ms)"]
+    for label, span in execute_spans(trace):
+        if total <= 0:
+            lead, bar = 0, 1
+        else:
+            lead = int((span.start - trace.start) / total * width)
+            bar = max(1, int(span.duration / total * width))
+        lines.append(f"  {label:20s} "
+                     f"{'.' * lead}{'#' * bar}"
+                     f" {span.duration * 1e3:.2f} ms")
+    return "\n".join(lines)
+
+
+def stage_breakdown(traces: list[TraceContext]) -> dict[str, dict]:
+    """Aggregate per-stage execute time across closed traces.
+
+    Stages collapse instance indices and attempts (``vit_small#0@1``
+    books to ``vit_small``).  Returns {stage: {count, total_seconds,
+    mean_seconds, retried_attempts}} plus a ``"queued"`` pseudo-stage
+    (:func:`queued_seconds` per trace); ``retried_attempts`` counts the
+    spans that were retry executions (attempt >= 1), surfacing how much
+    of a stage's time was re-work rather than first-try service.
+    """
+    if not traces:
+        raise ValueError("no traces to aggregate")
+    totals: dict[str, list[float]] = {}
+    retried: dict[str, int] = {}
+    queued: list[float] = []
+    for trace in traces:
+        queued.append(queued_seconds(trace))
+        for _, span in execute_spans(trace):
+            stage = span.args["stage"]
+            totals.setdefault(stage, []).append(span.duration)
+            if span.args["attempt"]:
+                retried[stage] = retried.get(stage, 0) + 1
+    totals["queued"] = queued
+    return {
+        stage: {
+            "count": len(values),
+            "total_seconds": sum(values),
+            "mean_seconds": sum(values) / len(values),
+            "retried_attempts": retried.get(stage, 0),
+        }
+        for stage, values in totals.items()
+    }
+
+
+# ----------------------------------------------------------------------
 # Critical-path analysis
 # ----------------------------------------------------------------------
 def critical_path(trace: TraceContext) -> dict[str, float]:

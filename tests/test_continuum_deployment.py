@@ -106,8 +106,8 @@ class TestBuildStack:
         responses = server.run()
         assert len(responses) == 10
         # Requests traversed both stages.
-        assert any("pre_vit_small" in k
-                   for k in responses[0].request.stage_times)
+        assert responses[0].request.attempts == {"pre_vit_small": 1,
+                                                 "vit_small": 1}
 
     def test_instances_respected(self):
         manifest = load_manifest(valid_manifest())

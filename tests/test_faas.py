@@ -127,7 +127,8 @@ class TestColdAndWarmStarts:
         response = backend.responses[0]
         # Expected-value regime: sandbox 0.5 + init 1.0 + execute 0.01.
         assert response.latency == pytest.approx(1.51)
-        assert "faas:cold_start_seconds" in response.request.stage_times
+        assert response.request.request_id in backend.cold_started
+        assert response.queue_delay == pytest.approx(1.5)
 
     def test_second_request_within_keep_alive_runs_warm(self):
         sim, backend = make_backend(seed=None)
@@ -136,7 +137,8 @@ class TestColdAndWarmStarts:
         sim.run()
         warm = backend.responses[1]
         assert warm.latency == pytest.approx(0.01)
-        assert "faas:cold_start_seconds" not in warm.request.stage_times
+        assert warm.request.request_id not in backend.cold_started
+        assert warm.request.first_start == pytest.approx(5.0)
         stats = backend.function_stats("fn")
         assert stats.cold_starts == 1
         assert stats.warm_starts == 1

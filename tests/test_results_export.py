@@ -105,7 +105,7 @@ class TestTraceSvg:
         from repro.serving.batcher import BatcherConfig
         from repro.serving.request import Request
         from repro.serving.server import ModelConfig, TritonLikeServer
-        from repro.serving.tracing import trace_of
+        from repro.serving.tracectx import TraceContext
         from repro.viz.charts import render_trace_svg
 
         server = TritonLikeServer()
@@ -114,16 +114,19 @@ class TestTraceSvg:
         server.register(ModelConfig("mdl", lambda n: 0.004,
                                     batcher=BatcherConfig(enabled=False),
                                     preprocess_model="pre"))
-        server.submit(Request("mdl"))
-        [response] = server.run()
-        svg = render_trace_svg(trace_of(response))
+        request = Request("mdl", trace=TraceContext(1))
+        server.submit(request)
+        server.run()
+        svg = render_trace_svg(request.trace)
         root = ET.fromstring(svg)
         rects = [e for e in root.iter() if e.tag.endswith("rect")]
         assert len(rects) == 1 + 2  # background + two spans
 
     def test_empty_trace_rejected(self):
-        from repro.serving.tracing import RequestTrace
+        from repro.serving.tracectx import TraceContext
         from repro.viz.charts import render_trace_svg
 
+        trace = TraceContext(1)
+        trace.close(1.0)
         with pytest.raises(ValueError):
-            render_trace_svg(RequestTrace(1, 0.0, 1.0, "ok", ()))
+            render_trace_svg(trace)

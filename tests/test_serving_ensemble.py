@@ -8,11 +8,13 @@ from repro.preprocessing.frameworks import DALI, DALIWarp, OpenCVCPU
 from repro.serving.batcher import BatcherConfig
 from repro.serving.events import Simulator
 from repro.serving.request import Request
+from repro.serving.faults import FaultModel
 from repro.serving.server import (
     EnsembleConfig,
     ModelConfig,
     TritonLikeServer,
 )
+from repro.serving.tracectx import TraceContext
 
 
 def _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3):
@@ -30,13 +32,16 @@ def _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3):
 class TestEnsembleRouting:
     def test_preprocess_runs_once_consumers_fan_out(self):
         server = _server_with_ensemble()
-        server.submit(Request("field_tasks"))
+        server.submit(Request("field_tasks", trace=TraceContext(1)))
         [response] = server.run()
-        times = response.request.stage_times
-        assert times["pre#0:end"] == pytest.approx(0.1)
+        assert response.request.attempts == {"pre": 1, "residue": 1,
+                                             "pest": 1}
+        spans = {s.args["stage"]: s
+                 for s in response.request.trace.find("execute")}
+        assert spans["pre"].end == pytest.approx(0.1)
         # Both consumers start right after the shared preprocess.
-        assert times["residue#0:start"] == pytest.approx(0.1)
-        assert times["pest#0:start"] == pytest.approx(0.1)
+        assert spans["residue"].start == pytest.approx(0.1)
+        assert spans["pest"].start == pytest.approx(0.1)
 
     def test_response_waits_for_slowest_consumer(self):
         server = _server_with_ensemble(pre=0.1, residue=0.2, pest=0.3)
@@ -89,6 +94,41 @@ class TestEnsembleRouting:
         [response] = server.run()
         assert response.latency == pytest.approx(0.2)
 
+    def test_each_faulting_stage_has_its_own_retry_budget(self):
+        # Both consumers fault: "a" once (budget 1), "b" twice (budget
+        # 2).  A budget shared across stages would fail the request;
+        # per-stage budgets let both branches recover.
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "pre", lambda n: 0.001, batcher=BatcherConfig(enabled=False)))
+        for name, detect, retries in (("a", 0.02, 1), ("b", 0.03, 2)):
+            server.register(ModelConfig(
+                name, lambda n: 0.005,
+                batcher=BatcherConfig(enabled=False),
+                fault_model=FaultModel(1.0, detect_seconds=detect, seed=1),
+                max_retries=retries))
+        server.register_ensemble(EnsembleConfig("e", "pre", ("a", "b")))
+        request = Request("e", trace=TraceContext(1))
+        server.submit(request)
+
+        def clear(stage):
+            server._models[stage].fault_model.failure_probability = 0.0
+
+        # "a" starts at 1 ms and retries at 21 ms; "b" starts at 1 ms
+        # and retries at 31 ms and 61 ms.
+        server.sim.schedule(0.010, lambda: clear("a"))
+        server.sim.schedule(0.045, lambda: clear("b"))
+        [response] = server.run()
+        assert response.ok
+        assert request.attempts == {"pre": 1, "a": 2, "b": 3}
+        assert server.metrics.get("retries_total").value(stage="a") == 1
+        assert server.metrics.get("retries_total").value(stage="b") == 2
+        attempts = {}
+        for span in request.trace.find("execute"):
+            attempts.setdefault(span.args["stage"], []).append(
+                span.args["attempt"])
+        assert attempts == {"pre": [0], "a": [0, 1], "b": [0, 1, 2]}
+
 
 class TestDegradedFanOut:
     """Partial fan-out results are distinguishable from full rejection."""
@@ -120,7 +160,7 @@ class TestDegradedFanOut:
         # indistinguishable from a fully rejected request.
         server = self._server()
         self._saturate_bad(server)
-        ensemble_request = Request("e")
+        ensemble_request = Request("e", trace=TraceContext(1))
         server.submit(ensemble_request)
         responses = server.run()
         [result] = [r for r in responses
@@ -129,7 +169,10 @@ class TestDegradedFanOut:
         assert result.status == "degraded"
         assert result.degraded and not result.ok
         # The good branch really ran before the response was emitted.
-        assert "good#0:end" in ensemble_request.stage_times
+        [good] = [s for s in ensemble_request.trace.find("execute")
+                  if s.args["stage"] == "good"]
+        assert good.end is not None
+        assert good.end <= result.completion_time
 
     def test_fully_rejected_fanout_stays_rejected(self):
         server = TritonLikeServer()

@@ -328,7 +328,8 @@ class TestStageBreakdownFromRegistry:
             registry_stage_breakdown,
             render_stage_breakdown,
         )
-        from repro.serving.tracing import stage_breakdown
+        from repro.serving.trace_export import stage_breakdown
+        from repro.serving.tracectx import TraceContext
 
         server = TritonLikeServer()
         server.register(ModelConfig(
@@ -336,11 +337,11 @@ class TestStageBreakdownFromRegistry:
         server.register(ModelConfig(
             "mdl", lambda n: 0.005, batcher=BatcherConfig(enabled=False),
             preprocess_model="pre"))
-        for _ in range(4):
-            server.submit(Request("mdl"))
+        for trace_id in range(4):
+            server.submit(Request("mdl", trace=TraceContext(trace_id)))
         responses = server.run()
 
-        from_traces = stage_breakdown(responses)
+        from_traces = stage_breakdown([r.request.trace for r in responses])
         from_registry = registry_stage_breakdown(server.metrics)
         assert set(from_registry) == set(from_traces)
         for stage in ("pre", "mdl"):

@@ -7,8 +7,9 @@ from repro.serving.client import ClosedLoopClient, OpenLoopClient
 from repro.serving.events import Simulator
 from repro.serving.instance import BackendInstance
 from repro.serving.metrics import summarize_responses
-from repro.serving.request import Request
+from repro.serving.request import Request, Response
 from repro.serving.server import ModelConfig, TritonLikeServer
+from repro.serving.tracectx import TraceContext
 
 
 def constant_service(seconds):
@@ -40,14 +41,17 @@ class TestBackendInstance:
         with pytest.raises(ValueError):
             inst.execute([], lambda b: None)
 
-    def test_stage_times_stamped(self):
+    def test_execution_recorded_on_request(self):
         sim = Simulator()
         inst = BackendInstance("m#0", constant_service(0.25), sim)
-        request = Request("m")
-        inst.execute([request], lambda b: None)
+        request = Request("m", trace=TraceContext(1))
+        sim.schedule(0.1, lambda: inst.execute([request], lambda b: None))
         sim.run()
-        assert request.stage_times["m#0:start"] == 0.0
-        assert request.stage_times["m#0:end"] == 0.25
+        assert request.first_start == 0.1
+        assert request.attempts == {"m": 1}
+        [span] = request.trace.find("execute")
+        assert (span.start, span.end) == (0.1, 0.35)
+        assert span.args["instance"] == "m#0"
 
     def test_negative_service_time_rejected(self):
         inst = BackendInstance("m#0", lambda n: -1.0, Simulator())
@@ -197,8 +201,7 @@ class TestEnsembleRouting:
         server.submit(Request("model"))
         [response] = server.run()
         assert response.latency == pytest.approx(0.5)
-        assert "pre#0:end" in response.request.stage_times
-        assert "model#0:end" in response.request.stage_times
+        assert response.request.attempts == {"pre": 1, "model": 1}
 
     def test_preprocess_must_exist_first(self):
         server = TritonLikeServer()
@@ -275,6 +278,59 @@ class TestClients:
             OpenLoopClient(server, "m", rate_per_second=0, num_requests=1)
         with pytest.raises(ValueError):
             ClosedLoopClient(server, "m", concurrency=5, num_requests=3)
+
+
+class TestQueueDelay:
+    def test_first_execution_start_minus_arrival(self):
+        server = TritonLikeServer()
+        server.register(ModelConfig("m", constant_service(0.01),
+                                    batcher=BatcherConfig(enabled=False)))
+        first, second = Request("m"), Request("m")
+        server.submit(first)
+        server.sim.schedule(0.004, lambda: server.submit(second))
+        server.run()
+        assert second.arrival_time == pytest.approx(0.004)
+        assert second.first_start == pytest.approx(0.01)
+        [_, response] = server.responses
+        assert response.queue_delay == pytest.approx(0.006)
+
+    def test_retried_request_counts_its_first_attempt(self):
+        from repro.serving.faults import FaultModel
+
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "m", constant_service(0.01),
+            batcher=BatcherConfig(enabled=False),
+            fault_model=FaultModel(1.0, detect_seconds=0.2, seed=1),
+            max_retries=1))
+        request = Request("m")
+        server.submit(request)
+
+        def clear():  # one failure, then the retry at t=0.2 succeeds
+            server._models["m"].fault_model.failure_probability = 0.0
+
+        server.sim.schedule(0.1, clear)
+        [response] = server.run()
+        assert response.ok and request.attempts == {"m": 2}
+        assert response.queue_delay == 0.0
+
+    def test_request_rejected_before_executing(self):
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "m", constant_service(1.0),
+            batcher=BatcherConfig(enabled=False, max_queue_size=1)))
+        for _ in range(3):  # one executing, one queued, one rejected
+            server.submit(Request("m"))
+        server.run()
+        [rejected] = [r for r in server.responses
+                      if r.status == "rejected"]
+        assert rejected.request.first_start is None
+        assert rejected.request.attempts is None
+        assert rejected.queue_delay == rejected.latency == 0.0
+        # Without an execution the whole latency counts as queued.
+        late = Response(Request("m", arrival_time=1.0),
+                        completion_time=1.5, status="rejected")
+        assert late.queue_delay == 0.5
 
 
 class TestMetrics:

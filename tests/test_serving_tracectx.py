@@ -209,7 +209,10 @@ class TestEnsembleRetryTracing:
         raise AssertionError("no seed gives fail-then-recover")
 
     def test_degraded_plus_retry_spans_and_stage_stamps(self):
-        from repro.serving.tracing import stage_breakdown, trace_of
+        from repro.serving.trace_export import (
+            execute_spans,
+            stage_breakdown,
+        )
 
         server = TritonLikeServer()
         server.register(ModelConfig(
@@ -244,11 +247,12 @@ class TestEnsembleRetryTracing:
         assert good_spans[0].args["outcome"] == "fault"
         assert ctx.status == "degraded"
 
-        # Post-hoc view: the @1 stamp round-trips trace_of/breakdown.
-        trace = trace_of(result)
-        retried = [s for s in trace.spans if s.attempt == 1]
-        assert [s.model for s in retried] == ["good"]
-        breakdown = stage_breakdown([result])
+        # Views: the retry is labelled @1 and booked to its stage.
+        assert request.attempts["good"] == 2
+        retried = [label for label, _ in execute_spans(ctx)
+                   if "@" in label]
+        assert retried == ["good#0@1"]
+        breakdown = stage_breakdown([ctx])
         assert breakdown["good"]["retried_attempts"] == 1
         assert breakdown["good"]["count"] == 2
 

@@ -1,62 +1,84 @@
-"""Tests for repro.serving.tracing — span extraction and rendering."""
+"""Tests for the execution views over trace contexts: Gantt and breakdown.
+
+``execute_spans`` / ``queued_seconds`` / ``render_gantt`` /
+``stage_breakdown`` in :mod:`repro.serving.trace_export` read the
+``execute`` spans a :class:`~repro.serving.tracectx.TraceContext`
+collects as a request moves through backend instances.
+"""
 
 import pytest
 
 from repro.serving.batcher import BatcherConfig
 from repro.serving.request import Request
-from repro.serving.server import ModelConfig, TritonLikeServer
-from repro.serving.tracing import (
-    RequestTrace,
-    Span,
+from repro.serving.server import (
+    EnsembleConfig,
+    ModelConfig,
+    TritonLikeServer,
+)
+from repro.serving.trace_export import (
+    execute_spans,
+    queued_seconds,
     render_gantt,
     stage_breakdown,
-    trace_of,
 )
+from repro.serving.tracectx import TraceContext
+
+
+def _traced(model):
+    """A request carrying a trace whose id is the request id."""
+    request = Request(model)
+    request.trace = TraceContext(request.request_id)
+    return request
+
+
+def _labels(trace):
+    return [label for label, _ in execute_spans(trace)]
 
 
 @pytest.fixture()
-def two_stage_response():
+def two_stage_trace():
     server = TritonLikeServer()
     server.register(ModelConfig("pre", lambda n: 0.002,
                                 batcher=BatcherConfig(enabled=False)))
     server.register(ModelConfig("mdl", lambda n: 0.005,
                                 batcher=BatcherConfig(enabled=False),
                                 preprocess_model="pre"))
-    server.submit(Request("mdl"))
-    [response] = server.run()
-    return response
+    request = _traced("mdl")
+    server.submit(request)
+    server.run()
+    return request.trace
 
 
 class TestTraceOf:
-    def test_spans_cover_both_stages(self, two_stage_response):
-        trace = trace_of(two_stage_response)
-        assert [s.stage for s in trace.spans] == ["pre#0", "mdl#0"]
-        assert trace.spans[0].duration == pytest.approx(0.002)
-        assert trace.spans[1].duration == pytest.approx(0.005)
+    def test_spans_cover_both_stages(self, two_stage_trace):
+        rows = execute_spans(two_stage_trace)
+        assert [label for label, _ in rows] == ["pre#0", "mdl#0"]
+        assert rows[0][1].duration == pytest.approx(0.002)
+        assert rows[1][1].duration == pytest.approx(0.005)
 
-    def test_latency_decomposes(self, two_stage_response):
-        trace = trace_of(two_stage_response)
-        assert trace.latency == pytest.approx(0.007)
-        assert trace.queued_seconds == pytest.approx(0.0, abs=1e-12)
+    def test_latency_decomposes(self, two_stage_trace):
+        assert two_stage_trace.latency == pytest.approx(0.007)
+        assert queued_seconds(two_stage_trace) == pytest.approx(
+            0.0, abs=1e-12)
 
-    def test_spans_ordered_by_start(self, two_stage_response):
-        trace = trace_of(two_stage_response)
-        starts = [s.start for s in trace.spans]
+    def test_spans_ordered_by_start(self, two_stage_trace):
+        rows = execute_spans(two_stage_trace)
+        starts = [span.start for _, span in rows]
         assert starts == sorted(starts)
 
     def test_queueing_shows_up(self):
         server = TritonLikeServer()
         server.register(ModelConfig("m", lambda n: 0.01,
                                     batcher=BatcherConfig(enabled=False)))
-        server.submit(Request("m"))
-        server.submit(Request("m"))  # waits behind the first
-        responses = server.run()
-        second = trace_of(responses[1])
-        assert second.queued_seconds == pytest.approx(0.01)
+        first, second = _traced("m"), _traced("m")
+        server.submit(first)
+        server.submit(second)  # waits behind the first
+        server.run()
+        assert queued_seconds(second.trace) == pytest.approx(0.01)
 
 
 class TestRetriedSpans:
-    def _retried_response(self):
+    def _retried_trace(self):
         from repro.serving.faults import FaultModel
 
         server = TritonLikeServer()
@@ -65,7 +87,8 @@ class TestRetriedSpans:
             batcher=BatcherConfig(enabled=False),
             fault_model=FaultModel(1.0, detect_seconds=0.2, seed=1),
             max_retries=1))
-        server.submit(Request("m"))
+        request = _traced("m")
+        server.submit(request)
 
         def clear():  # exactly one failure, then the retry succeeds
             server._models["m"].fault_model.failure_probability = 0.0
@@ -73,68 +96,100 @@ class TestRetriedSpans:
         server.sim.schedule(0.1, clear)
         [response] = server.run()
         assert response.status == "ok"
-        return response
+        return request.trace
 
     def test_each_attempt_keeps_its_own_span(self):
-        # Regression: the retry used to overwrite the first attempt's
-        # ``m#0:start``, dropping the failed attempt from the trace.
-        response = self._retried_response()
-        trace = trace_of(response)
-        assert [s.stage for s in trace.spans] == ["m#0", "m#0@1"]
-        assert [s.attempt for s in trace.spans] == [0, 1]
+        # The failed attempt keeps its own span next to the retry.
+        rows = execute_spans(self._retried_trace())
+        assert [label for label, _ in rows] == ["m#0", "m#0@1"]
+        assert [span.args["attempt"] for _, span in rows] == [0, 1]
         # Failed attempt spans the 0.2 s detection window; the retry
         # spans the 0.01 s service time.
-        assert trace.spans[0].duration == pytest.approx(0.2)
-        assert trace.spans[1].duration == pytest.approx(0.01)
+        assert rows[0][1].duration == pytest.approx(0.2)
+        assert rows[1][1].duration == pytest.approx(0.01)
 
     def test_detection_window_not_misread_as_queueing(self):
-        # Regression: with the failed attempt's span lost, the 0.2 s
-        # detection window was booked as queued_seconds.
-        trace = trace_of(self._retried_response())
-        assert trace.queued_seconds == pytest.approx(0.0, abs=1e-9)
+        # The 0.2 s detection window is execute time, not queueing.
+        assert queued_seconds(self._retried_trace()) == pytest.approx(
+            0.0, abs=1e-9)
 
     def test_breakdown_surfaces_retried_attempts(self):
-        response = self._retried_response()
-        breakdown = stage_breakdown([response])
+        breakdown = stage_breakdown([self._retried_trace()])
         assert breakdown["m"]["count"] == 2
         assert breakdown["m"]["retried_attempts"] == 1
         assert breakdown["m"]["total_seconds"] == pytest.approx(0.21)
         assert breakdown["queued"]["retried_attempts"] == 0
 
     def test_span_model_collapses_instance_and_attempt(self):
-        trace = trace_of(self._retried_response())
-        assert all(s.model == "m" for s in trace.spans)
+        rows = execute_spans(self._retried_trace())
+        assert all(span.args["stage"] == "m" for _, span in rows)
+        assert set(stage_breakdown(
+            [self._retried_trace()])) == {"m", "queued"}
+
+
+class TestEnsembleFanOut:
+    def _fanout_trace(self):
+        server = TritonLikeServer()
+        for name, seconds in (("pre", 0.001), ("a", 0.01), ("b", 0.01)):
+            server.register(ModelConfig(
+                name, lambda n, s=seconds: s,
+                batcher=BatcherConfig(enabled=False)))
+        server.register_ensemble(EnsembleConfig("e", "pre", ("a", "b")))
+        request = _traced("e")
+        server.submit(request)
+        [response] = server.run()
+        assert response.latency == pytest.approx(0.011)
+        return request.trace
+
+    def test_parallel_branches_are_not_double_counted(self):
+        # Both consumers run at once: the union of execute spans covers
+        # the whole latency, so nothing is queued (summing the spans
+        # would report -10 ms).
+        trace = self._fanout_trace()
+        assert _labels(trace) == ["pre#0", "a#0", "b#0"]
+        assert queued_seconds(trace) == pytest.approx(0.0, abs=1e-12)
+        breakdown = stage_breakdown([trace])
+        assert breakdown["queued"]["total_seconds"] == pytest.approx(
+            0.0, abs=1e-12)
+        assert breakdown["a"]["total_seconds"] == pytest.approx(0.01)
+        assert breakdown["b"]["total_seconds"] == pytest.approx(0.01)
 
 
 class TestRendering:
-    def test_gantt_includes_all_stages(self, two_stage_response):
-        text = render_gantt(trace_of(two_stage_response))
+    def test_gantt_includes_all_stages(self, two_stage_trace):
+        text = render_gantt(two_stage_trace)
         assert "pre#0" in text and "mdl#0" in text
         assert "#" in text
 
-    def test_gantt_width_validated(self, two_stage_response):
+    def test_gantt_width_validated(self, two_stage_trace):
         with pytest.raises(ValueError):
-            render_gantt(trace_of(two_stage_response), width=5)
+            render_gantt(two_stage_trace, width=5)
 
     def test_gantt_zero_duration_trace_degenerates(self):
-        # Regression: a request shed the instant it arrived has
-        # arrival == completion; scaling bars against the total would
-        # divide by zero.  It must render as a one-column chart.
-        trace = RequestTrace(
-            request_id=9, arrival=0.5, completion=0.5,
-            status="rejected",
-            spans=(Span("queue_reject#0", 0.5, 0.5),))
-        text = render_gantt(trace)
-        lines = text.splitlines()
+        # A request shed the instant it arrived has arrival ==
+        # completion; scaling bars against the total would divide by
+        # zero.  It must render as a one-column chart.
+        trace = TraceContext(9, start=0.5)
+        span = trace.begin("execute", 0.5, category="execute",
+                           stage="m", instance="m#0", attempt=0)
+        trace.end(span, 0.5)
+        trace.close(0.5, status="rejected")
+        lines = render_gantt(trace).splitlines()
         assert "0.00 ms" in lines[0]
         # Exactly one bar column at the origin, no leading dots.
         bar = lines[1].split()[1]
         assert bar == "#"
 
     def test_gantt_zero_duration_trace_without_spans(self):
-        trace = RequestTrace(request_id=9, arrival=1.0, completion=1.0,
-                             status="rejected", spans=())
+        trace = TraceContext(9, start=1.0)
+        trace.close(1.0, status="rejected")
         assert "rejected" in render_gantt(trace)
+
+    def test_open_trace_rejected(self):
+        with pytest.raises(ValueError, match="open"):
+            render_gantt(TraceContext(1))
+        with pytest.raises(ValueError, match="open"):
+            stage_breakdown([TraceContext(1)])
 
 
 class TestBreakdown:
@@ -142,10 +197,11 @@ class TestBreakdown:
         server = TritonLikeServer()
         server.register(ModelConfig("m", lambda n: 0.01, instances=2,
                                     batcher=BatcherConfig(enabled=False)))
-        for _ in range(4):
-            server.submit(Request("m"))
-        responses = server.run()
-        breakdown = stage_breakdown(responses)
+        requests = [_traced("m") for _ in range(4)]
+        for request in requests:
+            server.submit(request)
+        server.run()
+        breakdown = stage_breakdown([r.trace for r in requests])
         assert breakdown["m"]["count"] == 4
         assert breakdown["m"]["mean_seconds"] == pytest.approx(0.01)
         assert "queued" in breakdown
@@ -166,13 +222,14 @@ class TestBreakdown:
         server.register(ModelConfig("infer", lambda n: 0.004,
                                     batcher=BatcherConfig(enabled=False),
                                     preprocess_model="model_pre"))
-        server.submit(Request("infer"))
-        [response] = server.run()
-        trace = trace_of(response)
+        request = _traced("infer")
+        server.submit(request)
+        server.run()
+        trace = request.trace
         # Only the direct preprocess chain of "infer" runs: model_pre
         # then infer (dataset_pre is model_pre's own preprocess and runs
         # first in its chain).
         assert trace.latency == pytest.approx(0.003 + 0.002 + 0.004,
                                               abs=1e-9) or \
             trace.latency == pytest.approx(0.002 + 0.004, abs=1e-9)
-        assert len(trace.spans) >= 2
+        assert len(execute_spans(trace)) >= 2

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# Tier-1 gate: byte-compile every module, then run the full test suite.
-# Mirrors .github/workflows/ci.yml so the same check runs locally.
+# Tier-1 gate: byte-compile every module, run the full test suite, then
+# the CLI smokes and quick bench gates below.  The one definition of
+# every CI check: .github/workflows/ci.yml only sets up Python and runs
+# this script, so `sh tools/ci.sh` locally runs exactly what CI runs.
 set -eu
 cd "$(dirname "$0")/.."
 python -m compileall -q src
