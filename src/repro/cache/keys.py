@@ -26,6 +26,7 @@ is plain NumPy and fully deterministic.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -64,32 +65,30 @@ def block_means(plane: np.ndarray, rows: int, cols: int) -> np.ndarray:
     h, w = plane.shape
     if h < 1 or w < 1:
         raise ValueError("plane must be non-empty")
-    # Integral image: cell sums in O(1) per cell regardless of size.
+    # Integral image: every cell sum is four corner reads, gathered for
+    # all cells at once.
     integral = np.zeros((h + 1, w + 1), dtype=np.float64)
     integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
     ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
     xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i in range(rows):
-        # Degenerate cells (input smaller than the grid) borrow the
-        # nearest pixel so every cell stays defined and non-empty.
-        y0 = min(int(ys[i]), h - 1)
-        y1 = min(max(int(ys[i + 1]), y0 + 1), h)
-        for j in range(cols):
-            x0 = min(int(xs[j]), w - 1)
-            x1 = min(max(int(xs[j + 1]), x0 + 1), w)
-            total = (integral[y1, x1] - integral[y0, x1]
-                     - integral[y1, x0] + integral[y0, x0])
-            out[i, j] = total / ((y1 - y0) * (x1 - x0))
-    return out
+    # Degenerate cells (input smaller than the grid) borrow the nearest
+    # pixel so every cell stays defined and non-empty.
+    y0 = np.minimum(ys[:-1], h - 1)
+    y1 = np.minimum(np.maximum(ys[1:], y0 + 1), h)
+    x0 = np.minimum(xs[:-1], w - 1)
+    x1 = np.minimum(np.maximum(xs[1:], x0 + 1), w)
+    y0, y1 = y0[:, None], y1[:, None]
+    total = (integral[y1, x1] - integral[y0, x1]
+             - integral[y1, x0] + integral[y0, x0])
+    return total / ((y1 - y0) * (x1 - x0))
 
 
 def _pack_bits(bits: np.ndarray) -> int:
     """Fold a flat boolean array into an int, MSB first."""
-    value = 0
-    for bit in bits.ravel():
-        value = (value << 1) | int(bool(bit))
-    return value
+    flat = bits.ravel()
+    packed = int.from_bytes(np.packbits(flat).tobytes(), "big")
+    # packbits zero-pads the last byte on the right.
+    return packed >> (-flat.size % 8)
 
 
 def dhash_bits(frame: np.ndarray, hash_size: int = 8) -> int:
@@ -142,15 +141,27 @@ class FrameFingerprint:
     def __post_init__(self) -> None:
         if self.hash_size < 2 or self.block_grid < 1:
             raise ValueError("invalid fingerprint geometry")
+        # packed, and the cache index over it, assume each signature
+        # fits its own bit field.
+        if not (0 <= self.dhash < 1 << self.hash_size ** 2
+                and 0 <= self.blocks < 1 << self.block_grid ** 2):
+            raise ValueError(
+                "dhash and blocks must fit the geometry's bit widths")
 
     @property
     def nbits(self) -> int:
         """Total bit width of the fingerprint."""
         return self.hash_size ** 2 + self.block_grid ** 2
 
-    @property
+    @functools.cached_property
     def packed(self) -> int:
-        """Both signatures folded into one integer key."""
+        """Both signatures folded into one integer key.
+
+        Computed once per fingerprint: the cache store reads it for
+        every candidate it compares.  The Hamming distance between two
+        fingerprints of one geometry is the popcount of their packed
+        XOR.
+        """
         return (self.dhash << (self.block_grid ** 2)) | self.blocks
 
     def distance(self, other: "FrameFingerprint") -> int:
@@ -178,9 +189,12 @@ class FrameFingerprint:
 def fingerprint(frame: np.ndarray, hash_size: int = 8,
                 block_grid: int = 4) -> FrameFingerprint:
     """Fingerprint one frame (any resolution, grayscale or color)."""
+    # Both signatures read one luma plane; luma() passes a float64
+    # plane through without copying it.
+    plane = luma(frame)
     return FrameFingerprint(
-        dhash=dhash_bits(frame, hash_size=hash_size),
-        blocks=block_signature_bits(frame, block_grid=block_grid),
+        dhash=dhash_bits(plane, hash_size=hash_size),
+        blocks=block_signature_bits(plane, block_grid=block_grid),
         hash_size=hash_size,
         block_grid=block_grid,
     )

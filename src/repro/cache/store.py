@@ -17,6 +17,15 @@ guarded by a TinyLFU-style :class:`FrequencySketch`: a candidate only
 displaces a victim it is provably hotter than, which keeps one-shot
 scans (a panning camera) from flushing the working set.
 
+Every hot operation costs about the same at any resident count.
+Lookup uses pigeonhole multi-index hashing (Norouzi et al., CVPR
+2012): the fingerprint's bits are split into ``match_threshold + 1``
+disjoint chunks, one dict per chunk maps a chunk value to the residents
+holding it, and only residents sharing a chunk with the probe are
+compared.  Victims come off a lazy min-heap of eviction ranks, and the
+resident byte total is kept as a running sum.  Results, stats and
+``entries()`` order are those of a full scan.
+
 Everything runs on a caller-supplied ``clock`` (wire it to
 ``lambda: sim.now``) and is deterministic: the frequency sketch uses
 fixed multiplicative hashing, never wall time or Python's randomized
@@ -27,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import heapq
 import itertools
 from collections.abc import Callable
 
@@ -108,13 +118,20 @@ class CacheEntry:
 
 
 class EvictionPolicy(abc.ABC):
-    """Chooses which resident entry to displace when space is needed."""
+    """Orders resident entries for eviction.
+
+    The store evicts the resident with the smallest :meth:`rank`, i.e.
+    always ``min(entries, key=policy.rank)`` with insertion order
+    breaking equal ranks.  The store keeps ranks in a heap and pushes a
+    fresh one on every insert and hit, so ``rank`` must depend only on
+    the entry's own fields.
+    """
 
     name = "abstract"
 
     @abc.abstractmethod
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
-        """The entry to evict (``entries`` is non-empty)."""
+    def rank(self, entry: CacheEntry) -> tuple:
+        """Eviction order key of one entry (smallest is evicted first)."""
 
 
 class LRUEviction(EvictionPolicy):
@@ -122,9 +139,9 @@ class LRUEviction(EvictionPolicy):
 
     name = "lru"
 
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
-        """Oldest ``last_access_at`` wins; insertion order breaks ties."""
-        return min(entries, key=lambda e: (e.last_access_at, e.sequence))
+    def rank(self, entry: CacheEntry) -> tuple:
+        """Oldest ``last_access_at`` first; insertion order breaks ties."""
+        return (entry.last_access_at, entry.sequence)
 
 
 class FIFOEviction(EvictionPolicy):
@@ -132,9 +149,9 @@ class FIFOEviction(EvictionPolicy):
 
     name = "fifo"
 
-    def victim(self, entries: list[CacheEntry]) -> CacheEntry:
-        """Lowest insertion sequence wins."""
-        return min(entries, key=lambda e: e.sequence)
+    def rank(self, entry: CacheEntry) -> tuple:
+        """Lowest insertion sequence first."""
+        return (entry.sequence,)
 
 
 @dataclasses.dataclass
@@ -174,7 +191,8 @@ class CacheStore:
         Virtual-time source (``lambda: sim.now``).
     match_threshold:
         Hamming budget for content-aware lookup (0 = exact fingerprints
-        only).
+        only, a plain dict lookup).  A budget at or past the
+        fingerprint's bit width compares every resident.
     eviction:
         An :class:`EvictionPolicy`; defaults to LRU.
     ttl_seconds:
@@ -185,8 +203,8 @@ class CacheStore:
     admission:
         A :class:`FrequencySketch` enabling TinyLFU admission: every
         lookup trains the sketch, and an insert that needs an eviction
-        only proceeds while the candidate is at least as hot as each
-        victim.
+        only proceeds if the candidate is at least as hot as each
+        victim; a refused insert changes nothing.
     pool:
         Optional :class:`~repro.hardware.memory.MemoryPool`; resident
         entries hold live allocations in it, so the cache shows up in
@@ -216,8 +234,18 @@ class CacheStore:
         self.pool = pool
         self.name = name
         self.stats = CacheStats()
-        self._entries: list[CacheEntry] = []
         self._sequence = itertools.count()
+        #: Residents by sequence; dict order is insertion order.
+        self._entries: dict[int, CacheEntry] = {}
+        self._used_bytes = 0.0
+        #: (hash_size, block_grid) shared by every resident.
+        self._geometry: tuple[int, int] | None = None
+        #: (shift, mask) of each index chunk.
+        self._chunks: list[tuple[int, int]] = []
+        #: Per chunk: chunk value -> sequences of residents holding it.
+        self._index: list[dict[int, list[int]]] = []
+        #: Lazy min-heap of (rank, sequence); stale items are skipped.
+        self._heap: list[tuple[tuple, int]] = []
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -225,33 +253,108 @@ class CacheStore:
 
     @property
     def used_bytes(self) -> float:
-        """Bytes held by resident entries."""
-        return sum(e.size_bytes for e in self._entries)
+        """Bytes held by resident entries (a running total)."""
+        return self._used_bytes
 
     def entries(self) -> list[CacheEntry]:
         """Snapshot of resident entries in insertion order."""
-        return sorted(self._entries, key=lambda e: e.sequence)
+        return list(self._entries.values())
 
     # ------------------------------------------------------------------
+    def _set_geometry(self, fp: FrameFingerprint) -> None:
+        """Lay out the candidate index for ``fp``'s geometry.
+
+        Pigeonhole multi-index hashing: ``match_threshold + 1`` disjoint
+        bit chunks, so any fingerprint within the threshold of a probe
+        agrees with it on at least one whole chunk.  Threshold 0 is one
+        chunk, an exact-key dict.  A threshold at or past the bit width
+        matches every resident: one empty chunk puts them all in one
+        bucket.
+        """
+        self._geometry = (fp.hash_size, fp.block_grid)
+        parts = self.match_threshold + 1
+        self._chunks = [(0, 0)]
+        if parts <= fp.nbits:
+            base, extra = divmod(fp.nbits, parts)
+            self._chunks, shift = [], 0
+            for part in range(parts):
+                width = base + (part < extra)
+                self._chunks.append((shift, (1 << width) - 1))
+                shift += width
+        self._index = [{} for _ in self._chunks]
+
     def _match(self, fp: FrameFingerprint) -> CacheEntry | None:
-        """Closest resident entry within the threshold (ties: oldest)."""
-        best: tuple[int, int] | None = None
-        found: CacheEntry | None = None
-        for entry in self._entries:
-            distance = fp.distance(entry.fingerprint)
-            if distance > self.match_threshold:
-                continue
-            rank = (distance, entry.sequence)
-            if best is None or rank < best:
-                best, found = rank, entry
-        return found
+        """Closest resident entry within the threshold (ties: oldest).
+
+        Only residents sharing a chunk with the probe can match, so the
+        ``(distance, sequence)`` minimum over them is the full-scan
+        answer.
+        """
+        entries = self._entries
+        if not entries:
+            return None
+        if (fp.hash_size, fp.block_grid) != self._geometry:
+            # Raises the mixed-geometry ValueError.
+            fp.distance(next(iter(entries.values())).fingerprint)
+        probe = fp.packed
+        best_distance, best = self.match_threshold + 1, -1
+        for (shift, mask), buckets in zip(self._chunks, self._index):
+            for sequence in buckets.get((probe >> shift) & mask, ()):
+                if sequence == best:
+                    # Found again through another chunk.
+                    continue
+                distance = (probe
+                            ^ entries[sequence].fingerprint.packed
+                            ).bit_count()
+                if distance < best_distance or (
+                        distance == best_distance and sequence < best):
+                    best_distance, best = distance, sequence
+        return entries[best] if best >= 0 else None
 
     def _expired(self, entry: CacheEntry, now: float) -> bool:
         return (self.ttl_seconds is not None
                 and now - entry.inserted_at > self.ttl_seconds)
 
+    def _push_rank(self, entry: CacheEntry) -> None:
+        heap = self._heap
+        heapq.heappush(heap, (self.eviction.rank(entry), entry.sequence))
+        if len(heap) > 2 * len(self._entries):
+            heap[:] = [(self.eviction.rank(e), seq)
+                       for seq, e in self._entries.items()]
+            heapq.heapify(heap)
+
+    def _pop_victim(self) -> tuple[tuple, int]:
+        """Pop the live ``(rank, sequence)`` heap top (store non-empty).
+
+        Items whose entry is gone or whose rank has since moved are
+        discarded.  A hit that leaves the rank unchanged pushes a copy
+        of a live item; copies sit at the top right after it and are
+        discarded with it, so no entry is returned twice.
+        """
+        heap = self._heap
+        while True:
+            item = heapq.heappop(heap)
+            entry = self._entries.get(item[1])
+            if entry is not None and self.eviction.rank(entry) == item[0]:
+                while heap and heap[0] == item:
+                    heapq.heappop(heap)
+                return item
+
     def _drop(self, entry: CacheEntry) -> None:
-        self._entries.remove(entry)
+        sequence = entry.sequence
+        del self._entries[sequence]
+        if self._entries:
+            self._used_bytes -= entry.size_bytes
+        else:
+            self._used_bytes = 0.0
+            self._heap.clear()
+        packed = entry.fingerprint.packed
+        for (shift, mask), buckets in zip(self._chunks, self._index):
+            key = (packed >> shift) & mask
+            bucket = buckets[key]
+            bucket.remove(sequence)
+            if not bucket:
+                del buckets[key]
         if entry.allocation is not None:
             self.pool.free(entry.allocation)
             entry.allocation = None
@@ -275,6 +378,7 @@ class CacheStore:
             return None
         entry.hits += 1
         entry.last_access_at = now
+        self._push_rank(entry)
         self.stats.hits += 1
         return entry
 
@@ -288,10 +392,16 @@ class CacheStore:
                size_bytes: float) -> bool:
         """Make a value resident; returns whether it was admitted.
 
-        Evicts per the policy until the candidate fits; with TinyLFU
-        admission the candidate must be at least as hot as every victim
-        it displaces, otherwise the insert is refused and the resident
-        set is left untouched.
+        A resident within the threshold is the same content: the new
+        value replaces it.  The policy's lowest-ranked other residents
+        are chosen as victims until the candidate fits.  With TinyLFU
+        admission the candidate must be at least as hot as every
+        victim; otherwise the insert is refused and changes nothing,
+        the replaced entry included.  Only an admitted insert drops the
+        replaced entry and the victims.  A memory pool squeezed by
+        other tenants may then shed further entries, and the insert
+        fails as ``uncacheable`` if the pool cannot fit the value even
+        with the cache empty.
         """
         if size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
@@ -300,19 +410,35 @@ class CacheStore:
             self.stats.uncacheable += 1
             return False
         existing = self._match(fp)
+        projected = self._used_bytes
+        others = len(self._entries)
         if existing is not None:
-            # Re-insert refreshes the value and the freshness clock.
-            self._drop(existing)
-        while self.used_bytes + size_bytes > self.capacity_bytes:
-            victim = self.eviction.victim(self._entries)
+            projected -= existing.size_bytes
+            others -= 1
+        victims: list[CacheEntry] = []
+        popped: list[tuple[tuple, int]] = []
+        while (len(victims) < others
+               and projected + size_bytes > self.capacity_bytes):
+            item = self._pop_victim()
+            popped.append(item)
+            victim = self._entries[item[1]]
+            if victim is existing:
+                continue
             if (self.admission is not None
                     and self.admission.estimate(fp.packed)
                     < self.admission.estimate(
                         victim.fingerprint.packed)):
+                for kept in popped:
+                    heapq.heappush(self._heap, kept)
                 self.stats.admission_rejects += 1
                 return False
+            victims.append(victim)
+            projected -= victim.size_bytes
+        if existing is not None:
+            self._drop(existing)
+        for victim in victims:
             self._drop(victim)
-            self.stats.evictions += 1
+        self.stats.evictions += len(victims)
         allocation = None
         if self.pool is not None:
             if not self.pool.can_fit(size_bytes):
@@ -320,17 +446,27 @@ class CacheStore:
                 # preprocessing buffers): shed cache entries first, and
                 # give up gracefully if the cache alone cannot help.
                 while self._entries and not self.pool.can_fit(size_bytes):
-                    self._drop(self.eviction.victim(self._entries))
+                    self._drop(self._entries[self._pop_victim()[1]])
                     self.stats.evictions += 1
                 if not self.pool.can_fit(size_bytes):
                     self.stats.uncacheable += 1
                     return False
             allocation = self.pool.allocate(size_bytes,
                                             tag=f"cache:{self.name}")
-        self._entries.append(CacheEntry(
+        if not self._entries:
+            self._set_geometry(fp)
+        entry = CacheEntry(
             fingerprint=fp, value=value, size_bytes=float(size_bytes),
             inserted_at=now, last_access_at=now,
-            sequence=next(self._sequence), allocation=allocation))
+            sequence=next(self._sequence), allocation=allocation)
+        sequence = entry.sequence
+        self._entries[sequence] = entry
+        self._used_bytes += entry.size_bytes
+        packed = fp.packed
+        for (shift, mask), buckets in zip(self._chunks, self._index):
+            buckets.setdefault((packed >> shift) & mask,
+                               []).append(sequence)
+        self._push_rank(entry)
         self.stats.insertions += 1
         return True
 
@@ -339,7 +475,8 @@ class CacheStore:
         if self.ttl_seconds is None:
             return 0
         now = self._clock()
-        expired = [e for e in self._entries if self._expired(e, now)]
+        expired = [e for e in self._entries.values()
+                   if self._expired(e, now)]
         for entry in expired:
             self._drop(entry)
         self.stats.evictions += len(expired)
@@ -347,5 +484,5 @@ class CacheStore:
 
     def clear(self) -> None:
         """Drop every resident entry (stats are kept)."""
-        for entry in list(self._entries):
+        for entry in list(self._entries.values()):
             self._drop(entry)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache.keys import (
     FrameFingerprint,
+    _pack_bits,
     block_means,
     block_signature_bits,
     dhash_bits,
@@ -19,6 +20,34 @@ from repro.data.synthetic import synth_frame_sequence
 def _frame(seed: int = 0, width: int = 64, height: int = 48):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+
+
+def _block_means_loop(plane, rows, cols):
+    """Per-cell reference for block_means (same operation order)."""
+    h, w = plane.shape
+    integral = np.zeros((h + 1, w + 1), dtype=np.float64)
+    integral[1:, 1:] = plane.cumsum(axis=0).cumsum(axis=1)
+    ys = np.linspace(0, h, rows + 1).round().astype(np.int64)
+    xs = np.linspace(0, w, cols + 1).round().astype(np.int64)
+    out = np.empty((rows, cols), dtype=np.float64)
+    for i in range(rows):
+        y0 = min(int(ys[i]), h - 1)
+        y1 = min(max(int(ys[i + 1]), y0 + 1), h)
+        for j in range(cols):
+            x0 = min(int(xs[j]), w - 1)
+            x1 = min(max(int(xs[j + 1]), x0 + 1), w)
+            total = (integral[y1, x1] - integral[y0, x1]
+                     - integral[y1, x0] + integral[y0, x0])
+            out[i, j] = total / ((y1 - y0) * (x1 - x0))
+    return out
+
+
+def _pack_bits_loop(bits):
+    """Per-bit reference for _pack_bits (MSB first)."""
+    value = 0
+    for bit in bits.ravel():
+        value = (value << 1) | int(bool(bit))
+    return value
 
 
 class TestLuma:
@@ -69,6 +98,26 @@ class TestBlockMeans:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             block_means(np.zeros((2, 2, 3)), 2, 2)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 200), (97, 131),
+                                       (1, 1), (2, 7), (48, 64)])
+    @pytest.mark.parametrize("grid", [(8, 9), (4, 4), (3, 5), (1, 1)])
+    def test_equals_per_cell_reference(self, shape, grid):
+        plane = np.random.default_rng(sum(shape)).random(shape) * 255
+        assert np.array_equal(block_means(plane, *grid),
+                              _block_means_loop(plane, *grid))
+
+
+class TestPackBits:
+    @pytest.mark.parametrize("size", [1, 7, 8, 9, 16, 64, 72, 80])
+    def test_equals_per_bit_reference(self, size):
+        bits = np.random.default_rng(size).random(size) > 0.5
+        assert _pack_bits(bits) == _pack_bits_loop(bits)
+        assert _pack_bits(np.ones(size, dtype=bool)) == (1 << size) - 1
+
+    def test_reads_2d_bits_row_major(self):
+        bits = np.array([[True, False, False], [False, True, True]])
+        assert _pack_bits(bits) == 0b100011
 
 
 class TestDhash:
@@ -130,6 +179,20 @@ class TestFingerprint:
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError, match="geometry"):
             FrameFingerprint(0, 0, hash_size=1)
+
+    def test_fields_must_fit_their_bit_widths(self):
+        FrameFingerprint((1 << 64) - 1, (1 << 16) - 1)
+        for dhash, blocks in ((1 << 64, 0), (0, 1 << 16), (-1, 0)):
+            with pytest.raises(ValueError, match="bit widths"):
+                FrameFingerprint(dhash, blocks)
+
+    def test_packed_distance_is_field_distance(self):
+        a, b = fingerprint(_frame(1)), fingerprint(_frame(2))
+        assert (a.packed ^ b.packed).bit_count() == a.distance(b)
+        assert a.packed is a.packed  # computed once
+        assert "packed" not in repr(a)
+        assert a == FrameFingerprint(a.dhash, a.blocks)
+        assert hash(a) == hash(FrameFingerprint(a.dhash, a.blocks))
 
     def test_hamming_counts_bits(self):
         assert hamming(0b1010, 0b0110) == 2

@@ -58,6 +58,15 @@ class TestLookupAndMatch:
         store.insert(fp(0b1100), "second", 10)
         assert store.lookup(fp(0b0110)).value == "first"
 
+    def test_tie_across_index_chunks_breaks_to_oldest(self, clock):
+        # Threshold 1 splits the 80 bits into two chunks.  The probe
+        # shares only the high chunk with the older entry and only the
+        # low chunk with the newer one, at distance 1 from each.
+        store = CacheStore(1024, clock, match_threshold=1)
+        store.insert(fp(0b1), "older", 10)
+        store.insert(fp(1 << 63), "newer", 10)
+        assert store.lookup(fp(0)).value == "older"
+
     def test_reinsert_within_threshold_replaces(self, clock):
         # A near-duplicate fingerprint is the *same* content: inserting
         # it refreshes the resident entry instead of duplicating it.
@@ -66,6 +75,29 @@ class TestLookupAndMatch:
         store.insert(fp(0b10), "new", 10)
         assert len(store) == 1
         assert store.lookup(fp(0b01)).value == "new"
+
+    def test_mixed_geometry_probe_raises_on_non_empty_store(self, clock):
+        other = FrameFingerprint(dhash=1, blocks=0, hash_size=4,
+                                 block_grid=2)
+        store = CacheStore(1024, clock, match_threshold=2)
+        assert store.lookup(other) is None
+        store.insert(fp(1), "v", 10)
+        for probe in (store.lookup, store.peek):
+            with pytest.raises(ValueError, match="geometry"):
+                probe(other)
+        with pytest.raises(ValueError, match="geometry"):
+            store.insert(other, "w", 10)
+        store.clear()
+        assert store.insert(other, "w", 10)
+        assert store.lookup(other).value == "w"
+
+    def test_threshold_past_bit_width_matches_everything(self, clock):
+        # 81 chunks cannot split 80 bits: every resident is a candidate.
+        store = CacheStore(1024, clock, match_threshold=80)
+        store.insert(fp(0b1), "a", 10)
+        store.insert(fp((1 << 64) - 1), "b", 10)
+        assert len(store) == 1
+        assert store.lookup(fp(0)).value == "b"
 
     def test_peek_does_not_mutate(self, clock):
         store = CacheStore(1024, clock)
@@ -126,6 +158,32 @@ class TestEviction:
         store.insert(fp(4), "d", 10)
         assert store.peek(fp(1)) and not store.peek(fp(2))
 
+    def test_lru_refresh_keeps_access_order(self, clock):
+        store = CacheStore(30, clock, eviction=LRUEviction())
+        store.insert(fp(1), "a", 10)
+        store.insert(fp(2), "b", 10)
+        store.insert(fp(4), "c", 10)
+        clock.now = 1.0
+        store.lookup(fp(1))
+        store.insert(fp(8), "d", 10)   # evicts b
+        clock.now = 2.0
+        store.insert(fp(16), "e", 10)  # evicts c
+        clock.now = 3.0
+        store.insert(fp(32), "f", 10)  # a and d tie at 1.0: a is older
+        assert [e.value for e in store.entries()] == ["d", "e", "f"]
+
+    def test_same_timestamp_hit_then_two_victims(self, clock):
+        # All cameras fire on one trigger: a hit at the insert time
+        # leaves a's rank unchanged, and a's is still the lowest.
+        store = CacheStore(30, clock, eviction=LRUEviction())
+        store.insert(fp(1), "a", 10)
+        store.insert(fp(2), "b", 10)
+        store.insert(fp(4), "c", 10)
+        store.lookup(fp(1))
+        assert store.insert(fp(8), "d", 20)
+        assert [e.value for e in store.entries()] == ["c", "d"]
+        assert store.stats.evictions == 2 and store.used_bytes == 30
+
     def test_fifo_ignores_recency(self, clock):
         store = CacheStore(20, clock, eviction=FIFOEviction())
         store.insert(fp(1), "a", 10)
@@ -179,6 +237,36 @@ class TestTinyLFUAdmission:
         store = CacheStore(10, clock)
         store.insert(fp(1), "a", 10)
         assert store.insert(fp(2), "b", 10)
+
+    def test_refused_insert_evicts_nothing(self, clock):
+        # Making room for 20 B needs two victims: cold (evictable) and
+        # then hot (hotter than the candidate).  The refusal must leave
+        # cold resident too.
+        store = CacheStore(30, clock, admission=FrequencySketch())
+        store.insert(fp(1), "cold", 10)
+        store.insert(fp(2), "hot", 10)
+        store.insert(fp(4), "x", 10)
+        for _ in range(5):
+            store.lookup(fp(2))
+        assert not store.insert(fp(8), "big", 20)
+        assert [e.value for e in store.entries()] == ["cold", "hot", "x"]
+        assert store.stats.evictions == 0
+        assert store.stats.admission_rejects == 1
+        assert store.used_bytes == 30
+
+    def test_refused_reinsert_keeps_the_replaced_entry(self, clock):
+        # fp(0b11) is within the threshold of old: admitted, it would
+        # replace old, but it also needs hot's bytes and is refused.
+        store = CacheStore(20, clock, match_threshold=1,
+                           admission=FrequencySketch())
+        store.insert(fp(0b1), "old", 10)
+        store.insert(fp(0b110000), "hot", 10)
+        for _ in range(5):
+            store.lookup(fp(0b110000))
+        assert not store.insert(fp(0b11), "new", 20)
+        assert [e.value for e in store.entries()] == ["old", "hot"]
+        assert store.lookup(fp(0b1)).value == "old"
+        assert store.stats.evictions == 0
 
 
 class TestFrequencySketch:

@@ -129,3 +129,15 @@ for suite in core fluid profile faas sweep; do
         --check "benchmarks/results/BENCH_${suite}_quick.json"
     echo "bench $suite ok: quick suite within committed bounds"
 done
+# Benchmark self-tests and simulated-statistics digests: a change that
+# only speeds the program up must leave every workload's digest equal to
+# the one committed in perfbench/digests.json (seeds 1 and held-out 7).
+python -m pytest -q perfbench
+for workload in continuum_churn continuum_static burst_day_hybrid \
+        kernels_frames; do
+    for seed in 1 7; do
+        python3 perfbench/run.py --workload "$workload" --seed "$seed" \
+            --digest > /dev/null
+    done
+    echo "perfbench $workload ok: digests match at seeds 1 and 7"
+done
