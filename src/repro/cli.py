@@ -41,12 +41,207 @@ Commands
                         deterministic per-shard table, aggregate
                         confidence intervals, and merged quantiles
                         (byte-identical output for any --jobs)
+
+Each simulated command runs its whole scenario before its first
+``print``, so a rejected argument exits 2 with nothing on stdout.
+Construction two commands share has one helper below (frame replay
+and cache pair, replica pool and step trace, ``--out`` writer); the
+commands pass every parameter explicitly, with no scenario registry.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+
+def _write(path: str, text: str, note: str = "") -> None:
+    """Write one artifact file and announce it on stdout."""
+    import pathlib
+
+    pathlib.Path(path).write_text(text)
+    print(f"wrote {path}{note}")
+
+
+def _write_json(path: str, payload: dict, note: str = "") -> None:
+    """The ``--out`` writer: indented, key-sorted JSON plus a newline."""
+    import json
+
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n",
+           note)
+
+
+def _tally(statuses) -> str:
+    """``status=count`` pairs in status order, two spaces apart."""
+    from collections import Counter
+
+    return "  ".join(f"{status}={count}" for status, count
+                     in sorted(Counter(statuses).items()))
+
+
+def _scrape(registry, *needles: str) -> str:
+    """The lines of ``registry``'s scrape that contain any needle."""
+    from repro.serving.exporter import export_registry
+
+    return "\n".join(line for line in export_registry(registry).splitlines()
+                     if any(needle in line for needle in needles))
+
+
+def _infer_seconds(n: int) -> float:
+    """Service time of the toy ``infer`` stage for a batch of ``n``."""
+    return 0.004 + 0.0012 * n
+
+
+def _latency_model(args: argparse.Namespace):
+    """The ``--model`` latency curve on one ``--platform`` device."""
+    from repro.engine.latency import LatencyModel
+    from repro.hardware.platform import get_platform
+    from repro.models.zoo import get_model
+
+    return LatencyModel(get_model(args.model).graph,
+                        get_platform(args.platform))
+
+
+def _step_trace(args: argparse.Namespace):
+    """The seeded step-load trace the step options describe, and the
+    ``trace: ...`` line reporting it."""
+    from repro.serving.traces import step_trace
+
+    trace = step_trace(duration=args.duration, base_rate=args.base_rate,
+                       step_rate=args.step_rate,
+                       step_start=args.step_start,
+                       step_end=args.step_end, seed=args.seed)
+    return trace, (f"trace: {args.base_rate:g}->{args.step_rate:g}->"
+                   f"{args.base_rate:g} rps over {args.duration:g} s "
+                   f"(step {args.step_start:g}..{args.step_end:g} s, "
+                   f"seed {args.seed}), {len(trace)} requests")
+
+
+def _replica_pool(args: argparse.Namespace, latency, model: str,
+                  max_batch_size: int, max_queue_delay: float, *,
+                  slo: float, max_replicas: int, interval: float = 0.25,
+                  cooldown: float = 1.0, on_replica=None):
+    """An autoscaled pool of one-model replicas behind JSQ balancing.
+
+    Every replica serves ``model`` at ``latency``'s curve on one shared
+    simulator and registry (``balancer.sim`` / ``balancer.metrics``);
+    ``on_replica`` sees each replica the autoscaler adds after the
+    first.  Admission control comes from ``--admit-rate``,
+    ``--admit-burst`` and ``--shed-queue``.  Returns the balancer and
+    its (not yet started) autoscaler.
+    """
+    from repro.scale.admission import AdmissionConfig, AdmissionController
+    from repro.scale.autoscaler import Autoscaler, AutoscalerConfig
+    from repro.scale.balancer import JoinShortestQueuePolicy, LoadBalancer
+    from repro.serving.batcher import BatcherConfig
+    from repro.serving.events import Simulator
+    from repro.serving.observability import MetricsRegistry
+    from repro.serving.server import ModelConfig, TritonLikeServer
+
+    sim = Simulator()
+    registry = MetricsRegistry(clock=lambda: sim.now)
+
+    def replica_factory(first: bool = False) -> TritonLikeServer:
+        server = TritonLikeServer(sim, registry=registry)
+        server.register(ModelConfig(
+            model, lambda n: latency.latency(max(1, n)),
+            batcher=BatcherConfig(max_batch_size=max_batch_size,
+                                  max_queue_delay=max_queue_delay)))
+        if on_replica is not None and not first:
+            on_replica(server)
+        return server
+
+    admission = AdmissionController(AdmissionConfig(
+        rate_per_second=args.admit_rate, burst=args.admit_burst,
+        max_queued_requests=args.shed_queue))
+    balancer = LoadBalancer([replica_factory(first=True)],
+                            policy=JoinShortestQueuePolicy(),
+                            registry=registry, admission=admission)
+    autoscaler = Autoscaler(balancer, replica_factory, AutoscalerConfig(
+        slo_p95_seconds=slo, interval=interval, min_replicas=1,
+        max_replicas=max_replicas, cooldown_seconds=cooldown))
+    return balancer, autoscaler
+
+
+def _frame_sequences(spec, frames: int, scene_change_rate: float,
+                     seeds: list) -> tuple[list, float]:
+    """One fingerprinted synthetic camera sequence per seed, plus the
+    raw size of one frame in bytes."""
+    import numpy as np
+
+    from repro.cache.keys import fingerprint
+    from repro.data.synthetic import synth_frame_sequence
+
+    sequences = []
+    for seed in seeds:
+        captured = synth_frame_sequence(spec, frames, scene_change_rate,
+                                        np.random.default_rng(seed))
+        sequences.append([fingerprint(frame) for frame in captured])
+    return sequences, float(captured[0].nbytes)
+
+
+def _cache_hierarchy(server, edge_kb: float, cloud_mb: float,
+                     edge_ttl: float, threshold: int = 0,
+                     admission=None):
+    """The edge result / cloud tensor cache pair on ``server``'s clock
+    and registry."""
+    from repro.cache.store import CacheStore
+    from repro.cache.tiers import (
+        CLOUD_TENSOR,
+        EDGE_RESULT,
+        CacheHierarchy,
+        CacheTier,
+    )
+
+    edge = CacheStore(capacity_bytes=edge_kb * 1024.0,
+                      clock=lambda: server.sim.now,
+                      match_threshold=threshold, ttl_seconds=edge_ttl,
+                      admission=admission, name=EDGE_RESULT)
+    cloud = CacheStore(capacity_bytes=cloud_mb * 1024.0 * 1024.0,
+                       clock=lambda: server.sim.now,
+                       match_threshold=threshold, name=CLOUD_TENSOR)
+    return CacheHierarchy(
+        edge=CacheTier(EDGE_RESULT, edge, stage="uplink+serving",
+                       registry=server.metrics),
+        cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
+                        registry=server.metrics))
+
+
+def _frame_replay(server, transport, sequences: list, interval: float,
+                  image_bytes: float, cache=None):
+    """Replay fingerprinted frame sequences through the continuum.
+
+    ``sequences`` holds one fingerprint list per co-located endpoint.
+    The endpoints capture in lockstep (synchronized triggers): frame
+    ``index`` of every endpoint enters at ``index * interval``, so each
+    tick puts one transfer per endpoint on the transport at once.
+    Drains ``server`` and returns the replayer.
+    """
+    from repro.continuum.pipeline import ContinuumReplayer
+    from repro.serving.request import Request
+
+    replayer = ContinuumReplayer(
+        server, transport, edge_preprocess_time=lambda n: 0.002 * n,
+        image_bytes=image_bytes, registry=server.metrics, cache=cache)
+    if cache is not None:
+        server.attach_cache(cache)
+    endpoints = len(sequences)
+    for index, keys in enumerate(zip(*sequences)):
+        for endpoint, key in enumerate(keys):
+            request = Request(
+                "infer", num_images=1,
+                request_id=index * endpoints + endpoint + 1,
+                cache_key=key)
+            request.endpoint = endpoint
+            server.sim.schedule_at(index * interval,
+                                   lambda r=request: replayer.submit(r))
+    server.run()
+    return replayer
+
+
+def _served(replayer) -> list:
+    """The replayer's closed traces that were served."""
+    return [t for t in replayer.completed_traces() if t.status == "ok"]
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -60,10 +255,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         text = (table.to_json(indent=2) if args.format == "json"
                 else table.to_csv())
     if args.out:
-        import pathlib
-
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        _write(args.out, text)
     else:
         print(text)
     return 0
@@ -173,7 +365,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         batcher=BatcherConfig(max_batch_size=16,
                               max_queue_delay=0.002)))
     server.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
+        "infer", _infer_seconds,
         batcher=BatcherConfig(max_batch_size=32,
                               max_queue_delay=0.005,
                               max_queue_size=args.queue_limit),
@@ -200,27 +392,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_autoscale(args: argparse.Namespace) -> int:
     from repro.analysis.report import render_scaling_timeline
-    from repro.engine.latency import LatencyModel
-    from repro.hardware.platform import get_platform
-    from repro.models.zoo import get_model
     from repro.predict.capacity import CapacityPlanner, WorkloadSpec
-    from repro.scale.admission import AdmissionConfig, AdmissionController
-    from repro.scale.autoscaler import (
-        Autoscaler,
-        AutoscalerConfig,
-        replica_ceiling,
-    )
-    from repro.scale.balancer import JoinShortestQueuePolicy, LoadBalancer
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
+    from repro.scale.autoscaler import replica_ceiling
     from repro.serving.metrics import summarize_responses
-    from repro.serving.observability import MetricsRegistry
-    from repro.serving.server import ModelConfig, TritonLikeServer
-    from repro.serving.traces import TraceReplayer, step_trace
+    from repro.serving.traces import TraceReplayer
 
-    platform = get_platform(args.platform)
-    graph = get_model(args.model).graph
-    latency = LatencyModel(graph, platform)
+    latency = _latency_model(args)
     slo = args.slo_ms / 1e3
 
     max_replicas = args.max_replicas
@@ -230,37 +407,17 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
         # for the trace's peak demand, with scale-out safety slack.
         workload = WorkloadSpec(images_per_second=args.step_rate,
                                 latency_slo_seconds=slo)
-        plan = CapacityPlanner(workload).plan(graph, platform)
+        plan = CapacityPlanner(workload).plan(latency.graph,
+                                              latency.platform)
         max_replicas = replica_ceiling(plan, safety_factor=1.25)
         ceiling_note = (f"{max_replicas} (capacity plan: {plan.devices} "
                         f"device(s) x 1.25 safety)")
 
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-
-    def replica_factory() -> TritonLikeServer:
-        server = TritonLikeServer(sim, registry=registry)
-        server.register(ModelConfig(
-            "infer", lambda n: latency.latency(max(1, n)),
-            batcher=BatcherConfig(max_batch_size=32,
-                                  max_queue_delay=0.01)))
-        return server
-
-    admission = AdmissionController(AdmissionConfig(
-        rate_per_second=args.admit_rate, burst=args.admit_burst,
-        max_queued_requests=args.shed_queue))
-    balancer = LoadBalancer([replica_factory()],
-                            policy=JoinShortestQueuePolicy(),
-                            registry=registry, admission=admission)
-    autoscaler = Autoscaler(balancer, replica_factory, AutoscalerConfig(
-        slo_p95_seconds=slo, interval=args.interval,
-        min_replicas=1, max_replicas=max_replicas,
-        cooldown_seconds=args.cooldown))
-
-    trace = step_trace(duration=args.duration, base_rate=args.base_rate,
-                       step_rate=args.step_rate,
-                       step_start=args.step_start,
-                       step_end=args.step_end, seed=args.seed)
+    balancer, autoscaler = _replica_pool(
+        args, latency, "infer", 32, 0.01, slo=slo,
+        max_replicas=max_replicas, interval=args.interval,
+        cooldown=args.cooldown)
+    trace, trace_line = _step_trace(args)
     replayer = TraceReplayer(balancer, "infer")
     replayer.schedule(trace)
     autoscaler.start()
@@ -268,10 +425,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
 
     print(f"autoscale scenario: {args.model} on {args.platform} "
           f"replicas, p95 SLO {args.slo_ms:g} ms")
-    print(f"trace: {args.base_rate:g}->{args.step_rate:g}->"
-          f"{args.base_rate:g} rps over {args.duration:g} s "
-          f"(step {args.step_start:g}..{args.step_end:g} s, "
-          f"seed {args.seed}), {len(trace)} requests")
+    print(trace_line)
     print(f"replica ceiling: {ceiling_note}")
     print("== scaling timeline ==")
     print(render_scaling_timeline(autoscaler.events, slo_seconds=slo),
@@ -285,13 +439,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
           f"{replayer.submitted - int(shed.total())}  "
           f"shed rate={int(shed.value(reason='rate'))} "
           f"queue={int(shed.value(reason='queue'))}")
-    by_status: dict[str, int] = {}
-    for response in responses:
-        by_status[response.status] = by_status.get(response.status,
-                                                   0) + 1
-    rendered = "  ".join(f"{status}={count}" for status, count
-                         in sorted(by_status.items()))
-    print(f"  responses: {rendered}")
+    print(f"  responses: {_tally(r.status for r in responses)}")
     if ok:
         stats = summarize_responses(ok)
         print(f"  served p50 {stats.p50_latency * 1e3:.1f} ms  "
@@ -299,13 +447,7 @@ def _cmd_autoscale(args: argparse.Namespace) -> int:
               f"throughput {stats.throughput_ips:.0f} img/s")
     print(f"  replicas: peak {peak}, final {len(balancer.backends)}")
     print("== control metrics ==")
-    from repro.serving.exporter import export_registry
-
-    control = [line for line in
-               export_registry(registry).splitlines()
-               if ("autoscale" in line or "admission" in line
-                   or "balancer" in line)]
-    print("\n".join(control))
+    print(_scrape(balancer.metrics, "autoscale", "admission", "balancer"))
     return 0
 
 
@@ -316,77 +458,43 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
-    from repro.engine.latency import LatencyModel
-    from repro.hardware.platform import get_platform
-    from repro.models.zoo import get_model
-    from repro.scale.admission import AdmissionConfig, AdmissionController
-    from repro.scale.autoscaler import Autoscaler, AutoscalerConfig
-    from repro.scale.balancer import JoinShortestQueuePolicy, LoadBalancer
-    from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.observability import DEFAULT_BUCKETS, MetricsRegistry
-    from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.observability import DEFAULT_BUCKETS
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.trace_export import (
         critical_path_summary,
         export_chrome_trace,
         render_critical_path,
     )
-    from repro.serving.traces import TraceReplayer, step_trace
+    from repro.serving.traces import TraceReplayer
 
-    platform = get_platform(args.platform)
-    latency = LatencyModel(get_model(args.model).graph, platform)
+    latency = _latency_model(args)
     link = get_link(args.link)
     threshold = args.slo_ms / 1e3
-
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
     # Bucket boundary exactly at the SLO threshold, so the monitor's
     # conservative bucket counting is exact at the objective.
     buckets = tuple(sorted({*DEFAULT_BUCKETS, threshold}))
 
-    replayer: ContinuumReplayer | None = None
-
-    def replica_factory() -> TritonLikeServer:
-        server = TritonLikeServer(sim, registry=registry)
-        server.register(ModelConfig(
-            args.model, lambda n: latency.latency(max(1, n)),
-            batcher=BatcherConfig(max_batch_size=args.batch,
-                                  max_queue_delay=0.002)))
-        if replayer is not None:
-            replayer.attach_backend(server)
-        return server
-
-    admission = AdmissionController(AdmissionConfig(
-        rate_per_second=args.admit_rate, burst=args.admit_burst,
-        max_queued_requests=args.shed_queue))
-    first = replica_factory()
-    balancer = LoadBalancer([first], policy=JoinShortestQueuePolicy(),
-                            registry=registry, admission=admission)
+    balancer, autoscaler = _replica_pool(
+        args, latency, args.model, args.batch, 0.002, slo=threshold,
+        max_replicas=args.max_replicas,
+        on_replica=lambda server: replayer.attach_backend(server))
     replayer = ContinuumReplayer(
         balancer, link,
         edge_preprocess_time=lambda n: args.edge_preprocess_ms / 1e3 * n,
         image_bytes=args.image_kb * 1024.0,
-        registry=registry, latency_buckets=buckets)
-    replayer.attach_backend(first)
+        registry=balancer.metrics, latency_buckets=buckets)
+    replayer.attach_backend(balancer.backends[0])
 
-    autoscaler = Autoscaler(balancer, replica_factory, AutoscalerConfig(
-        slo_p95_seconds=threshold, interval=0.25, min_replicas=1,
-        max_replicas=args.max_replicas, cooldown_seconds=1.0))
     slo_config = SLOConfig(
         latency_threshold_seconds=threshold, objective=args.objective,
         fast_window_seconds=1.0, slow_window_seconds=5.0,
         rearm_seconds=2.0)
-    monitor = SLOMonitor(sim, registry, slo_config,
+    monitor = SLOMonitor(balancer.sim, balancer.metrics, slo_config,
                          histogram_name="continuum_latency_seconds")
     monitor.on_alert(autoscaler.notify_slo_alert)
 
-    trace = step_trace(duration=args.duration, base_rate=args.base_rate,
-                       step_rate=args.step_rate,
-                       step_start=args.step_start,
-                       step_end=args.step_end, seed=args.seed)
-    driver = TraceReplayer(replayer, args.model)
-    driver.schedule(trace)
+    trace, trace_line = _step_trace(args)
+    TraceReplayer(replayer, args.model).schedule(trace)
     autoscaler.start()
     monitor.start()
     balancer.run()
@@ -394,22 +502,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"trace scenario: {args.model} on {args.platform} replicas "
           f"behind {link.name}, {args.slo_ms:g} ms / "
           f"{args.objective:.0%} SLO")
-    print(f"trace: {args.base_rate:g}->{args.step_rate:g}->"
-          f"{args.base_rate:g} rps over {args.duration:g} s "
-          f"(step {args.step_start:g}..{args.step_end:g} s, "
-          f"seed {args.seed}), {len(trace)} requests")
-
+    print(trace_line)
     closed = replayer.completed_traces()
-    by_status: dict[str, int] = {}
-    for ctx in closed:
-        by_status[ctx.status] = by_status.get(ctx.status, 0) + 1
-    rendered = "  ".join(f"{status}={count}" for status, count
-                         in sorted(by_status.items()))
     print(f"  traces: {len(closed)} closed of {len(replayer.traces)} "
-          f"({rendered})")
+          f"({_tally(ctx.status for ctx in closed)})")
 
     print("== critical path ==")
-    served = [t for t in closed if t.status == "ok"]
+    served = _served(replayer)
     if served:
         print(render_critical_path(critical_path_summary(served)),
               end="")
@@ -421,13 +520,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(render_scaling_timeline(autoscaler.events,
                                   slo_seconds=threshold), end="")
     if args.out:
-        import pathlib
-
         text = export_chrome_trace(closed)
-        pathlib.Path(args.out).write_text(text)
         events = text.count('"ph"')
-        print(f"wrote {args.out} ({len(closed)} traces, "
-              f"{events} events)")
+        _write(args.out, text, f" ({len(closed)} traces, {events} events)")
     return 0
 
 
@@ -442,26 +537,12 @@ def _cache_p95(traces: list) -> float:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from repro.analysis.report import render_cache_table
-    from repro.cache.keys import fingerprint
-    from repro.cache.store import CacheStore, FrequencySketch
-    from repro.cache.tiers import (
-        CLOUD_TENSOR,
-        EDGE_RESULT,
-        CacheHierarchy,
-        CacheTier,
-    )
+    from repro.cache.store import FrequencySketch
     from repro.continuum.network import get_link
-    from repro.continuum.pipeline import ContinuumReplayer
     from repro.data.datasets import get_dataset
-    from repro.data.synthetic import synth_frame_sequence
     from repro.predict.whatif import cache_effective_qps
     from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.observability import MetricsRegistry
-    from repro.serving.request import Request
     from repro.serving.server import ModelConfig, TritonLikeServer
 
     rates = [float(token) for token in
@@ -476,28 +557,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         raise ValueError("--rate must be positive")
     spec = get_dataset(args.dataset)
     link = get_link(args.link)
-    interval = 1.0 / args.rate
 
-    def build_cache(registry, clock) -> CacheHierarchy:
-        edge = CacheStore(
-            capacity_bytes=args.edge_capacity_kb * 1024.0, clock=clock,
-            match_threshold=args.threshold,
-            ttl_seconds=args.edge_ttl,
-            admission=FrequencySketch(), name=EDGE_RESULT)
-        cloud = CacheStore(
-            capacity_bytes=args.cloud_capacity_mb * 1024.0 * 1024.0,
-            clock=clock, match_threshold=args.threshold,
-            name=CLOUD_TENSOR)
-        return CacheHierarchy(
-            edge=CacheTier(EDGE_RESULT, edge, stage="uplink+serving",
-                           registry=registry),
-            cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
-                            registry=registry))
-
-    def replay(fingerprints, image_bytes: float, cached: bool):
-        sim = Simulator()
-        registry = MetricsRegistry(clock=lambda: sim.now)
-        server = TritonLikeServer(sim, registry=registry)
+    def replay(sequences, image_bytes: float, cached: bool):
+        server = TritonLikeServer()
         # CRSA's CPU-bound perspective warp: linear in batch size, so
         # batching does not raise throughput and the uncached run
         # saturates whenever rate * preprocess time > 1.
@@ -506,27 +568,23 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             batcher=BatcherConfig(max_batch_size=8,
                                   max_queue_delay=0.001)))
         server.register(ModelConfig(
-            "infer", lambda n: 0.004 + 0.0012 * n,
+            "infer", _infer_seconds,
             batcher=BatcherConfig(max_batch_size=8,
                                   max_queue_delay=0.002),
             preprocess_model="preprocess"))
-        cache = (build_cache(registry, lambda: sim.now)
+        cache = (_cache_hierarchy(server, args.edge_capacity_kb,
+                                  args.cloud_capacity_mb, args.edge_ttl,
+                                  args.threshold, FrequencySketch())
                  if cached else None)
-        replayer = ContinuumReplayer(
-            server, link,
-            edge_preprocess_time=lambda n: 0.002 * n,
-            image_bytes=image_bytes, registry=registry, cache=cache)
-        if cache is not None:
-            server.attach_cache(cache)
-        for index, fp in enumerate(fingerprints):
-            request = Request("infer", num_images=1,
-                              request_id=index + 1, cache_key=fp)
-            sim.schedule(index * interval,
-                         lambda r=request: replayer.submit(r))
-        server.run()
-        served = [t for t in replayer.completed_traces()
-                  if t.status == "ok"]
-        return replayer, cache, served
+        return _frame_replay(server, link, sequences, 1.0 / args.rate,
+                             image_bytes, cache)
+
+    runs = []
+    for rate in rates:
+        sequences, image_bytes = _frame_sequences(
+            spec, args.frames, rate, [[args.seed, int(round(rate * 1000))]])
+        runs.append((rate, replay(sequences, image_bytes, False),
+                     replay(sequences, image_bytes, True)))
 
     print(f"cache scenario: {spec.name} frames behind {link.name}, "
           f"{args.frames} frames @ {args.rate:g} rps")
@@ -535,16 +593,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
           f"{args.edge_capacity_kb:g} KiB, cloud "
           f"{args.cloud_capacity_mb:g} MiB (seed {args.seed})")
     report_rows = []
-    for rate in rates:
-        rng = np.random.default_rng([args.seed,
-                                     int(round(rate * 1000))])
-        frames = synth_frame_sequence(spec, args.frames, rate, rng)
-        fingerprints = [fingerprint(frame) for frame in frames]
-        image_bytes = float(frames[0].nbytes)
-        base_replayer, _, base_served = replay(fingerprints,
-                                               image_bytes, False)
-        replayer, cache, served = replay(fingerprints, image_bytes,
-                                         True)
+    for rate, base_replayer, replayer in runs:
+        base_served, served = _served(base_replayer), _served(replayer)
+        cache = replayer.cache
         p95_uncached = _cache_p95(base_served)
         p95_cached = _cache_p95(served)
         edge_ratio = cache.edge.hit_ratio
@@ -574,10 +625,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             "tiers": cache.summaries(),
         })
     if args.out:
-        import json
-        import pathlib
-
-        payload = {
+        _write_json(args.out, {
             "scenario": {
                 "dataset": spec.name, "link": link.name,
                 "frames": args.frames, "rate_per_second": args.rate,
@@ -586,43 +634,23 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 "seed": args.seed,
             },
             "rates": report_rows,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out} ({len(report_rows)} rates)")
+        }, f" ({len(report_rows)} rates)")
     return 0
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
-    import dataclasses as _dc
+    import dataclasses
 
-    import numpy as np
-
-    from repro.cache.keys import fingerprint
-    from repro.cache.store import CacheStore
-    from repro.cache.tiers import (
-        CLOUD_TENSOR,
-        EDGE_RESULT,
-        CacheHierarchy,
-        CacheTier,
-    )
     from repro.continuum.broker import Broker
     from repro.continuum.network import get_link
-    from repro.continuum.pipeline import ContinuumReplayer
     from repro.continuum.uplink import SharedUplink, StoreAndForward
     from repro.data.datasets import get_dataset
-    from repro.data.synthetic import synth_frame_sequence
-    from repro.engine.latency import LatencyModel
-    from repro.hardware.platform import get_platform
-    from repro.models.zoo import get_model
     from repro.predict.whatif import uplink_fair_share_rate
     from repro.serving.batcher import BatcherConfig
     from repro.serving.events import Simulator
-    from repro.serving.exporter import export_registry
     from repro.serving.faults import LinkOutageModel
-    from repro.serving.observability import MetricsRegistry
-    from repro.serving.request import Request
     from repro.serving.server import ModelConfig, TritonLikeServer
+    from repro.serving.trace_export import export_chrome_trace
 
     if args.endpoints < 1:
         raise ValueError("--endpoints must be >= 1")
@@ -630,105 +658,76 @@ def _cmd_network(args: argparse.Namespace) -> int:
         raise ValueError("--frames must be >= 1")
     if args.rate <= 0:
         raise ValueError("--rate must be positive")
-    link = get_link(args.link)
-    if args.loss is not None or args.jitter_ms is not None:
-        link = _dc.replace(
-            link,
-            loss_probability=(link.loss_probability if args.loss is None
-                              else args.loss),
-            jitter_seconds=(link.jitter_seconds
-                            if args.jitter_ms is None
-                            else args.jitter_ms / 1e3))
+    overrides = {}
+    if args.loss is not None:
+        overrides["loss_probability"] = args.loss
+    if args.jitter_ms is not None:
+        overrides["jitter_seconds"] = args.jitter_ms / 1e3
+    link = dataclasses.replace(get_link(args.link), **overrides)
     outage = None
     if args.outage_start > 0:
         outage = LinkOutageModel(windows=(
             (args.outage_start,
              args.outage_start + args.outage_seconds),))
     spec = get_dataset(args.dataset)
-    platform = get_platform(args.platform)
-    latency = LatencyModel(get_model(args.model).graph, platform)
+    latency = _latency_model(args)
     image_bytes = args.image_kb * 1024.0
     interval = 1.0 / args.rate
     horizon = args.frames * interval + 60.0
 
     # Per-endpoint correlated frame sequences (shared seed family).
-    sequences = []
-    for endpoint in range(args.endpoints):
-        rng = np.random.default_rng([args.seed, endpoint])
-        frames = synth_frame_sequence(spec, args.frames,
-                                      args.scene_change_rate, rng)
-        sequences.append([fingerprint(frame) for frame in frames])
+    sequences, _ = _frame_sequences(
+        spec, args.frames, args.scene_change_rate,
+        [[args.seed, endpoint] for endpoint in range(args.endpoints)])
 
     def replay(cached: bool):
-        sim = Simulator()
-        registry = MetricsRegistry(clock=lambda: sim.now)
-        server = TritonLikeServer(sim, registry=registry)
+        server = TritonLikeServer()
         server.register(ModelConfig(
             "infer", lambda n: latency.latency(max(1, n)),
             batcher=BatcherConfig(max_batch_size=8,
                                   max_queue_delay=0.002)))
-        uplink = SharedUplink(link, sim, seed=args.seed,
-                              registry=registry)
-        transport = uplink
+        uplink = SharedUplink(link, server.sim, seed=args.seed,
+                              registry=server.metrics)
         buffer = None
         if outage is not None:
-            buffer = StoreAndForward(uplink, sim, outage=outage,
-                                     registry=registry)
+            buffer = StoreAndForward(uplink, server.sim, outage=outage,
+                                     registry=server.metrics)
             buffer.start(horizon)
-            transport = buffer
-        cache = None
-        if cached:
-            edge = CacheStore(capacity_bytes=64.0 * 1024.0,
-                              clock=lambda: sim.now,
-                              ttl_seconds=args.edge_ttl,
-                              name=EDGE_RESULT)
-            cloud = CacheStore(capacity_bytes=32.0 * 1024.0 * 1024.0,
-                               clock=lambda: sim.now, name=CLOUD_TENSOR)
-            cache = CacheHierarchy(
-                edge=CacheTier(EDGE_RESULT, edge,
-                               stage="uplink+serving",
-                               registry=registry),
-                cloud=CacheTier(CLOUD_TENSOR, cloud, stage="preprocess",
-                                registry=registry))
-        replayer = ContinuumReplayer(
-            server, transport,
-            edge_preprocess_time=lambda n: 0.002 * n,
-            image_bytes=image_bytes, registry=registry, cache=cache)
-        if cache is not None:
-            server.attach_cache(cache)
-        # Co-located endpoints capture in lockstep (synchronized
-        # triggers), so every tick puts `endpoints` transfers on the
-        # bottleneck at once — the contention the uplink must absorb.
-        for index in range(args.frames):
-            for endpoint in range(args.endpoints):
-                request = Request(
-                    "infer", num_images=1,
-                    request_id=index * args.endpoints + endpoint + 1,
-                    cache_key=sequences[endpoint][index])
-                request.endpoint = endpoint
-                sim.schedule_at(index * interval,
-                                lambda r=request: replayer.submit(r))
-        server.run()
-        closed = replayer.completed_traces()
-        served = [t for t in closed if t.status == "ok"]
-        return {
-            "replayer": replayer, "uplink": uplink, "buffer": buffer,
-            "cache": cache, "registry": registry, "served": served,
-            "closed": closed,
-        }
+        cache = (_cache_hierarchy(server, 64.0, 32.0, args.edge_ttl)
+                 if cached else None)
+        replayer = _frame_replay(
+            server, uplink if buffer is None else buffer, sequences,
+            interval, image_bytes, cache)
+        return replayer, uplink, buffer
 
     def uplink_span_stats(closed):
         durations = sorted(
             span.duration
             for trace in closed for span in trace.find("uplink"))
-        if not durations:
-            return {"transfers": 0, "mean_ms": 0.0, "max_ms": 0.0}
-        return {
-            "transfers": len(durations),
-            "mean_ms": round(
-                sum(durations) / len(durations) * 1e3, 3),
-            "max_ms": round(durations[-1] * 1e3, 3),
-        }
+        mean = sum(durations) / len(durations) if durations else 0.0
+        return {"transfers": len(durations),
+                "mean_ms": round(mean * 1e3, 3),
+                "max_ms": round(durations[-1] * 1e3, 3) if durations
+                else 0.0}
+
+    runs = {"uncached": replay(False), "cached": replay(True)}
+    # Broker leg: co-located sensors publishing telemetry over the same
+    # (idle) link — QoS 0 pays loss in drops, QoS 1 in duplicates.
+    broker_stats = {}
+    for qos in (0, 1):
+        sim = Simulator()
+        broker = Broker(sim, link, seed=args.seed + qos)
+        broker.subscribe("telemetry", lambda t, b, dup: None)
+        for index in range(args.broker_messages):
+            sim.schedule_at(index * 0.05,
+                            lambda: broker.publish(
+                                "telemetry", 2048.0, qos=qos))
+        sim.run()
+        broker_stats[f"qos{qos}"] = {
+            key: getattr(broker, key)
+            for key in ("published", "delivered", "dropped",
+                        "duplicates", "retries", "failed")}
+    loss_2k = Broker(Simulator(), link).message_loss_probability(2048.0)
 
     uncontended_ms = link.transfer_seconds(image_bytes) * 1e3
     total = args.frames * args.endpoints
@@ -749,18 +748,24 @@ def _cmd_network(args: argparse.Namespace) -> int:
           f"({fair * args.endpoints:.2f} aggregate ceiling, expected "
           f"uncontended transfer {uncontended_ms:.0f} ms)")
 
-    results = {}
-    for label, cached in (("uncached", False), ("cached", True)):
-        run = replay(cached)
-        results[label] = run
-        spans = uplink_span_stats(run["closed"])
-        p95 = _cache_p95(run["served"])
-        latencies = sorted(t.latency for t in run["served"])
+    summaries = {}
+    for label, (replayer, uplink, buffer) in runs.items():
+        served = _served(replayer)
+        spans = uplink_span_stats(replayer.completed_traces())
+        p95 = _cache_p95(served)
+        latencies = sorted(t.latency for t in served)
         p50 = latencies[len(latencies) // 2] if latencies else 0.0
+        summaries[label] = summary = {
+            "served": len(served),
+            "p50_ms": round(p50 * 1e3, 3),
+            "p95_ms": round(p95 * 1e3, 3),
+            "uplink_spans": spans,
+            "retransmits": uplink.total_retransmits,
+            "peak_concurrency": uplink.peak_concurrency,
+        }
         print(f"== {label} replay ==")
-        print(f"  served {len(run['served'])}/{total}  p50 "
+        print(f"  served {len(served)}/{total}  p50 "
               f"{p50 * 1e3:.1f} ms  p95 {p95 * 1e3:.1f} ms")
-        uplink = run["uplink"]
         print(f"  uplink: {spans['transfers']} transfers, "
               f"{uplink.total_retransmits} retransmits, peak "
               f"concurrency {uplink.peak_concurrency}")
@@ -769,85 +774,35 @@ def _cmd_network(args: argparse.Namespace) -> int:
                   f"max {spans['max_ms']:.1f} ms "
                   f"({spans['mean_ms'] / uncontended_ms:.2f}x the "
                   f"uncontended transfer)")
-        if run["buffer"] is not None:
-            buffer = run["buffer"]
+        if buffer is not None:
             print(f"  store-and-forward: {buffer.outages} outage(s), "
                   f"{buffer.buffered_total} buffered, max depth "
                   f"{buffer.max_buffer_depth}, {buffer.dropped} "
                   f"dropped")
-        if cached:
-            cache = run["cache"]
-            replayer = run["replayer"]
-            print(f"  edge cache: hit ratio "
-                  f"{cache.edge.hit_ratio:.1%}, uplink bytes saved "
-                  f"{replayer.uplink_bytes_saved:.0f} "
+        if replayer.cache is not None:
+            edge_ratio = replayer.cache.edge.hit_ratio
+            print(f"  edge cache: hit ratio {edge_ratio:.1%}, uplink "
+                  f"bytes saved {replayer.uplink_bytes_saved:.0f} "
                   f"({len(replayer.cache_responses)} of {total} "
                   f"frames)")
-        run["summary"] = {
-            "served": len(run["served"]),
-            "p50_ms": round(p50 * 1e3, 3),
-            "p95_ms": round(p95 * 1e3, 3),
-            "uplink_spans": spans,
-            "retransmits": uplink.total_retransmits,
-            "peak_concurrency": uplink.peak_concurrency,
-        }
-        if cached:
-            run["summary"]["edge_hit_ratio"] = round(
-                run["cache"].edge.hit_ratio, 6)
-            run["summary"]["uplink_bytes_saved"] = \
-                run["replayer"].uplink_bytes_saved
+            summary.update(edge_hit_ratio=round(edge_ratio, 6),
+                           uplink_bytes_saved=replayer.uplink_bytes_saved)
 
-    # Broker leg: co-located sensors publishing telemetry over the same
-    # (idle) link — QoS 0 pays loss in drops, QoS 1 in duplicates.
-    broker_stats = {}
     print(f"== broker (QoS over {link.name}) ==")
-    for qos in (0, 1):
-        sim = Simulator()
-        broker = Broker(sim, link, seed=args.seed + qos)
-        received = []
-        broker.subscribe("telemetry",
-                         lambda t, b, dup: received.append(dup))
-        for index in range(args.broker_messages):
-            sim.schedule_at(index * 0.05,
-                            lambda: broker.publish(
-                                "telemetry", 2048.0, qos=qos))
-        sim.run()
-        stats = {
-            "published": broker.published,
-            "delivered": broker.delivered,
-            "dropped": broker.dropped,
-            "duplicates": broker.duplicates,
-            "retries": broker.retries,
-            "failed": broker.failed,
-        }
-        broker_stats[f"qos{qos}"] = stats
-        print(f"  qos{qos}: published {stats['published']}  delivered "
-              f"{stats['delivered']}  dropped {stats['dropped']}  "
-              f"duplicates {stats['duplicates']}  retries "
-              f"{stats['retries']}  failed {stats['failed']}")
-    loss_2k = Broker(Simulator(), link).message_loss_probability(2048.0)
+    for name, stats in broker_stats.items():
+        print(f"  {name}: " + "  ".join(
+            f"{key} {value}" for key, value in stats.items()))
     print(f"  message loss probability (2 KiB, unacknowledged): "
           f"{loss_2k:.2%}")
 
     print("== link metrics (cached run) ==")
-    lines = [line for line in
-             export_registry(results["cached"]["registry"]).splitlines()
-             if "link_" in line]
-    print("\n".join(lines))
+    print(_scrape(runs["cached"][0].target.metrics, "link_"))
 
     if args.trace_out:
-        import pathlib
-
-        from repro.serving.trace_export import export_chrome_trace
-
-        text = export_chrome_trace(results["uncached"]["closed"])
-        pathlib.Path(args.trace_out).write_text(text)
-        print(f"wrote {args.trace_out} "
-              f"({len(results['uncached']['closed'])} traces)")
+        closed = runs["uncached"][0].completed_traces()
+        _write(args.trace_out, export_chrome_trace(closed),
+               f" ({len(closed)} traces)")
     if args.out:
-        import json
-        import pathlib
-
         payload = {
             "scenario": {
                 "link": link.name,
@@ -865,19 +820,15 @@ def _cmd_network(args: argparse.Namespace) -> int:
                 "platform": args.platform,
                 "seed": args.seed,
             },
-            "uncached": results["uncached"]["summary"],
-            "cached": results["cached"]["summary"],
+            **summaries,
             "broker": broker_stats,
             "fair_share_images_per_second": round(fair, 6),
         }
-        cached_p95 = results["cached"]["summary"]["p95_ms"]
+        cached_p95 = summaries["cached"]["p95_ms"]
         if cached_p95 > 0:
             payload["p95_speedup"] = round(
-                results["uncached"]["summary"]["p95_ms"] / cached_p95,
-                3)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+                summaries["uncached"]["p95_ms"] / cached_p95, 3)
+        _write_json(args.out, payload)
     return 0
 
 
@@ -921,10 +872,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.continuum.network import get_link
     from repro.continuum.pipeline import ContinuumReplayer
     from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.exporter import export_registry
     from repro.serving.fluid import HybridReplayer, render_regime_timeline
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.profiler import SimProfiler
     from repro.serving.server import ModelConfig, TritonLikeServer
     from repro.serving.trace_export import explain_tail, render_attribution
@@ -934,83 +882,53 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         raise ValueError("--sample-rate must lie in (0, 1]")
     link = get_link(args.link)
 
+    def profiled_server(max_batch_size: int, max_queue_delay: float):
+        server = TritonLikeServer()
+        server.register(ModelConfig(
+            "infer", _infer_seconds,
+            batcher=BatcherConfig(max_batch_size=max_batch_size,
+                                  max_queue_delay=max_queue_delay)))
+        server.attach_profiler(SimProfiler(clock=lambda: server.sim.now))
+        return server
+
     # Leg 1: a continuum step trace with the profiler and exemplars on.
     # Everything printed derives from sim time, so two runs with the
     # same arguments produce byte-identical output (the CI contract).
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    profiler = SimProfiler(clock=lambda: sim.now)
-    server = TritonLikeServer(sim, registry=registry)
-    server.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
-        batcher=BatcherConfig(max_batch_size=8,
-                              max_queue_delay=0.002)))
-    server.attach_profiler(profiler)
+    server = profiled_server(8, 0.002)
     server.enable_exemplars()
+    profiler = server.profiler
     replayer = ContinuumReplayer(
         server, link,
         edge_preprocess_time=lambda n: 0.002 * n,
         image_bytes=args.image_kb * 1024.0,
-        registry=registry, trace_sample_rate=args.sample_rate,
+        registry=server.metrics, trace_sample_rate=args.sample_rate,
         exemplars=True, profiler=profiler)
     trace = step_trace(duration=args.duration, base_rate=args.base_rate,
                        step_rate=args.step_rate,
                        step_start=args.duration * 0.2,
                        step_end=args.duration * 0.6, seed=args.seed)
-    driver = TraceReplayer(replayer, "infer")
-    driver.schedule(trace)
+    TraceReplayer(replayer, "infer").schedule(trace)
     server.run()
-
     closed = replayer.completed_traces()
-    print(f"profile scenario: continuum step trace behind {link.name}, "
-          f"{len(trace)} requests over {args.duration:g} s "
-          f"(sample rate {args.sample_rate:g}, seed {args.seed})")
-    print(f"  traces: {len(closed)} closed of {len(replayer.traces)} "
-          f"retained")
-    print("== profile tree (sim-time) ==")
-    print(profiler.render_tree("sim"), end="")
-    print("== folded stacks (sim-time) ==")
-    print(profiler.render_folded("sim"), end="")
-    print("== exemplars ==")
-    exemplar_lines = [line for line in
-                      export_registry(registry).splitlines()
-                      if " # {" in line]
-    print("\n".join(exemplar_lines))
-    print("== tail attribution ==")
-    report = explain_tail(registry, replayer.traces,
+    report = explain_tail(server.metrics, replayer.traces,
                           quantile=args.quantile)
-    print(render_attribution(report), end="")
 
     # Leg 2: a saturated burst trace through the hybrid engine, so the
     # regime controller's decisions become visible.
-    sim2 = Simulator()
-    registry2 = MetricsRegistry(clock=lambda: sim2.now)
-    profiler2 = SimProfiler(clock=lambda: sim2.now)
-    server2 = TritonLikeServer(sim2, registry=registry2)
-    server2.register(ModelConfig(
-        "infer", lambda n: 0.004 + 0.0012 * n,
-        batcher=BatcherConfig(max_batch_size=32,
-                              max_queue_delay=0.005)))
-    server2.attach_profiler(profiler2)
-    hybrid = HybridReplayer(server2, "infer")
+    fluid_server = profiled_server(32, 0.005)
+    hybrid = HybridReplayer(fluid_server, "infer")
     trace2 = burst_trace(duration=args.fluid_duration,
                          background_rate=2.0, bursts=2,
                          burst_rate=args.burst_rate,
                          burst_seconds=args.fluid_duration * 0.15,
                          seed=args.seed)
     hybrid.schedule(trace2)
-    server2.run()
+    fluid_server.run()
+    fluid_metrics = fluid_server.metrics
+    intervals = int(fluid_metrics.get("fluid_intervals_total").total())
+    folded = int(fluid_metrics.get("fluid_folded_arrivals_total").total())
 
-    intervals = int(registry2.get("fluid_intervals_total").total())
-    folded = int(registry2.get("fluid_folded_arrivals_total").total())
-    print(f"== fluid regime ({len(trace2)} burst arrivals over "
-          f"{args.fluid_duration:g} s) ==")
-    print(render_regime_timeline(hybrid), end="")
-    print(f"  fluid_intervals_total {intervals}  "
-          f"fluid_folded_arrivals_total {folded}")
-    print("== fluid profile tree (sim-time) ==")
-    print(profiler2.render_tree("sim"), end="")
-
+    kernel_profiler = None
     if args.forward:
         # Kernel-phase attribution for one real forward pass.  Wall
         # times never reproduce, so only the sim column (zeros) and
@@ -1036,27 +954,39 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             vit_forward(cfg, weights, x)
         finally:
             set_kernel_profiler(None)
+
+    print(f"profile scenario: continuum step trace behind {link.name}, "
+          f"{len(trace)} requests over {args.duration:g} s "
+          f"(sample rate {args.sample_rate:g}, seed {args.seed})")
+    print(f"  traces: {len(closed)} closed of {len(replayer.traces)} "
+          f"retained")
+    print("== profile tree (sim-time) ==")
+    print(profiler.render_tree("sim"), end="")
+    print("== folded stacks (sim-time) ==")
+    print(profiler.render_folded("sim"), end="")
+    print("== exemplars ==")
+    print(_scrape(server.metrics, " # {"))
+    print("== tail attribution ==")
+    print(render_attribution(report), end="")
+    print(f"== fluid regime ({len(trace2)} burst arrivals over "
+          f"{args.fluid_duration:g} s) ==")
+    print(render_regime_timeline(hybrid), end="")
+    print(f"  fluid_intervals_total {intervals}  "
+          f"fluid_folded_arrivals_total {folded}")
+    print("== fluid profile tree (sim-time) ==")
+    print(fluid_server.profiler.render_tree("sim"), end="")
+    if kernel_profiler is not None:
         print("== kernel phases (vit_tiny forward, counts) ==")
         for path, (_, _, count) in kernel_profiler.nodes().items():
             print(f"  {';'.join(path):<24s} x{count}")
 
     if args.folded_out:
-        import pathlib
-
-        pathlib.Path(args.folded_out).write_text(
-            profiler.render_folded("sim"))
-        print(f"wrote {args.folded_out}")
+        _write(args.folded_out, profiler.render_folded("sim"))
     if args.speedscope:
-        import pathlib
-
-        pathlib.Path(args.speedscope).write_text(
-            profiler.export_speedscope("repro-profile", "sim"))
-        print(f"wrote {args.speedscope}")
+        _write(args.speedscope,
+               profiler.export_speedscope("repro-profile", "sim"))
     if args.out:
-        import json
-        import pathlib
-
-        payload = {
+        _write_json(args.out, {
             "scenario": {
                 "link": link.name,
                 "duration_seconds": args.duration,
@@ -1074,29 +1004,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 "attribution": report,
             },
             "fluid": {
-                "folded_sim": profiler2.folded("sim"),
+                "folded_sim": fluid_server.profiler.folded("sim"),
                 "intervals": intervals,
                 "folded_arrivals": folded,
             },
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+        })
     return 0
 
 
 def _cmd_faas(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.stats import nearest_rank_quantile as quantile
-    from repro.engine.latency import LatencyModel
     from repro.faas import (
         FaaSBackend,
         FaaSFunctionConfig,
         get_faas_platform,
     )
-    from repro.hardware.platform import get_platform
-    from repro.models.zoo import get_model
     from repro.predict.whatif import compare_serverless
     from repro.scale.autoscaler import (
         FaaSConcurrencyPolicy,
@@ -1104,13 +1026,11 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     )
     from repro.serving.events import Simulator
     from repro.serving.exporter import export_registry
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.slo import SLOConfig, SLOMonitor
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
 
-    platform = get_platform(args.platform)
     faas_platform = get_faas_platform(args.faas_platform)
-    latency = LatencyModel(get_model(args.model).graph, platform)
+    latency = _latency_model(args)
     execute_seconds = latency.latency(1)
 
     trace = sparse_diurnal_trace(
@@ -1118,8 +1038,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
         night_rate=args.night_rate, seed=args.seed)
 
     sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    backend = FaaSBackend(sim, registry=registry, seed=args.seed)
+    backend = FaaSBackend(sim, seed=args.seed)
     backend.register(FaaSFunctionConfig(
         "infer", lambda n: latency.latency(max(1, n)),
         platform=faas_platform,
@@ -1130,7 +1049,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     # windows are sized so the sparse nighttime rate still produces
     # enough completions to evaluate (cold starts at night are the
     # breach this policy exists to absorb).
-    monitor = SLOMonitor(sim, registry, SLOConfig(
+    monitor = SLOMonitor(sim, backend.metrics, SLOConfig(
         latency_threshold_seconds=args.slo_ms / 1e3,
         objective=0.99, interval=10.0, fast_window_seconds=150.0,
         slow_window_seconds=600.0, min_window_samples=2,
@@ -1157,6 +1076,13 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     warm_p50, warm_p99 = quantile(warm, 0.50), quantile(warm, 0.99)
     cold_p50, cold_p99 = quantile(cold, 0.50), quantile(cold, 0.99)
     inflation = cold_p99 / warm_p99 if warm_p99 > 0 else float("inf")
+    costs = backend.cost_summary()
+    whatif = compare_serverless(
+        trace, execute_seconds=execute_seconds,
+        memory_gb=faas_platform.memory_gb,
+        replica_cost_per_hour=args.replica_cost_per_hour,
+        replica_qps_capacity=1.0 / execute_seconds,
+        cost_model=backend.cost.model)
 
     print("== faas scenario ==")
     print(f"  function 'infer': {args.model} on {args.platform}, "
@@ -1198,7 +1124,6 @@ def _cmd_faas(args: argparse.Namespace) -> int:
     if len(policy.events) > len(shown):
         print(f"  ... {len(policy.events) - len(shown)} more")
 
-    costs = backend.cost_summary()
     print("== cost (GB-seconds meter) ==")
     print(f"  on-demand {costs['gb_seconds']:.1f} GB-s "
           f"(${costs['compute_usd']:.6f}) + {costs['invocations']} "
@@ -1207,12 +1132,6 @@ def _cmd_faas(args: argparse.Namespace) -> int:
           f"GB-s (${costs['provisioned_usd']:.6f})")
     print(f"  total ${costs['total_usd']:.6f}")
 
-    whatif = compare_serverless(
-        trace, execute_seconds=execute_seconds,
-        memory_gb=faas_platform.memory_gb,
-        replica_cost_per_hour=args.replica_cost_per_hour,
-        replica_qps_capacity=1.0 / execute_seconds,
-        cost_model=backend.cost.model)
     print("== whatif: serverless vs provisioned ==")
     print(f"  per-invocation ${whatif['per_invocation_usd']:.7f}, "
           f"replica ${args.replica_cost_per_hour:.3f}/h x "
@@ -1229,15 +1148,12 @@ def _cmd_faas(args: argparse.Namespace) -> int:
           f"{trace.duration / 3600:.1f} h")
 
     print("== faas metrics ==")
-    for line in export_registry(registry).splitlines():
-        if line.startswith("harvest_faas_") and \
-                not line.startswith("# "):
+    for line in export_registry(backend.metrics).splitlines():
+        if line.startswith("harvest_faas_"):
             print(f"  {line}")
 
     if args.out:
-        import pathlib
-
-        payload = {
+        _write_json(args.out, {
             "scenario": {
                 "model": args.model,
                 "platform": args.platform,
@@ -1277,10 +1193,7 @@ def _cmd_faas(args: argparse.Namespace) -> int:
             "whatif": {
                 k: (round(v, 8) if isinstance(v, float) else v)
                 for k, v in whatif.items() if k != "bins"},
-        }
-        pathlib.Path(args.out).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        })
     return 0
 
 
@@ -1350,26 +1263,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{min(wall):.2f}-{max(wall):.2f}s "
               "(host timings; not deterministic)")
     if args.metrics_out:
-        import pathlib
-
-        scrape = export_registry(
-            merge_registries(v["registry"] for v in values))
-        pathlib.Path(args.metrics_out).write_text(scrape)
-        print(f"wrote {args.metrics_out}")
+        _write(args.metrics_out, export_registry(
+            merge_registries(v["registry"] for v in values)))
     if args.out:
-        import json
-        import pathlib
-
-        doc = {
+        _write_json(args.out, {
             "workload": "sparse_diurnal_replay",
-            "params": {
-                "duration": args.duration,
-                "peak_rate": args.peak_rate,
-                "night_rate": args.night_rate,
-                "instances": args.instances,
-                "replications": args.replications,
-                "base_seed": args.seed,
-            },
+            "params": {**spec.base_params,
+                       "replications": args.replications,
+                       "base_seed": args.seed},
             "shards": [
                 {k: v[k] for k in ("shard_index", "seed", "arrivals",
                                    "completed", "p50", "p95", "p99",
@@ -1383,11 +1284,52 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "p95_ci95": hw_p95,
                 "merged": merged.as_dict(),
             },
-        }
-        pathlib.Path(args.out).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {args.out}")
+        })
     return 0
+
+
+def _add_model_options(p: argparse.ArgumentParser,
+                       model: str = "resnet50",
+                       platform: str = "jetson") -> None:
+    """``--model``/``--platform``, read by :func:`_latency_model`."""
+    p.add_argument("--model", default=model,
+                   help="model whose latency curve is served")
+    p.add_argument("--platform", default=platform,
+                   help="hardware the latency curve is modeled on "
+                        "(one device)")
+
+
+def _add_step_trace_options(p: argparse.ArgumentParser, *,
+                            base_rate: float, step_rate: float,
+                            step_start: float, step_end: float,
+                            duration: float) -> None:
+    """The step-load options :func:`_step_trace` reads."""
+    p.add_argument("--base-rate", type=float, default=base_rate,
+                   help="background arrival rate (requests/s)")
+    p.add_argument("--step-rate", type=float, default=step_rate,
+                   help="arrival rate during the step (requests/s)")
+    p.add_argument("--step-start", type=float, default=step_start)
+    p.add_argument("--step-end", type=float, default=step_end)
+    p.add_argument("--duration", type=float, default=duration,
+                   help="trace length (s)")
+
+
+def _add_pool_options(p: argparse.ArgumentParser, *, max_replicas: int,
+                      admit_rate: float, admit_burst: int,
+                      shed_queue: int,
+                      ceiling_help: str = "replica ceiling") -> None:
+    """The ceiling, admission and seed options :func:`_replica_pool`
+    and :func:`_step_trace` read."""
+    p.add_argument("--max-replicas", type=int, default=max_replicas,
+                   help=ceiling_help)
+    p.add_argument("--admit-rate", type=float, default=admit_rate,
+                   help="token-bucket admission rate (req/s; 0 = off)")
+    p.add_argument("--admit-burst", type=int, default=admit_burst,
+                   help="token-bucket burst capacity")
+    p.add_argument("--shed-queue", type=int, default=shed_queue,
+                   help="shed arrivals past this many queued requests "
+                        "(0 = off)")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1448,45 +1390,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "autoscale",
         help="replay a step-load trace through the replica autoscaler")
-    p.add_argument("--model", default="resnet50",
-                   help="model whose latency curve the replicas serve")
-    p.add_argument("--platform", default="jetson",
-                   help="platform each replica models (one device)")
+    _add_model_options(p)
     p.add_argument("--slo-ms", type=float, default=100.0,
                    help="p95 latency SLO the autoscaler defends")
-    p.add_argument("--base-rate", type=float, default=200.0,
-                   help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float, default=3000.0,
-                   help="arrival rate during the step (requests/s)")
-    p.add_argument("--step-start", type=float, default=5.0)
-    p.add_argument("--step-end", type=float, default=15.0)
-    p.add_argument("--duration", type=float, default=30.0,
-                   help="trace length (s); leave tail for scale-in")
+    _add_step_trace_options(p, base_rate=200.0, step_rate=3000.0,
+                            step_start=5.0, step_end=15.0, duration=30.0)
     p.add_argument("--interval", type=float, default=0.25,
                    help="autoscaler evaluation interval (s)")
     p.add_argument("--cooldown", type=float, default=1.0,
                    help="seconds between scaling actions")
-    p.add_argument("--max-replicas", type=int, default=0,
-                   help="replica ceiling (0 = derive from the "
-                        "capacity planner at the step rate)")
-    p.add_argument("--admit-rate", type=float, default=3500.0,
-                   help="token-bucket admission rate (req/s; 0 = off)")
-    p.add_argument("--admit-burst", type=int, default=200,
-                   help="token-bucket burst capacity")
-    p.add_argument("--shed-queue", type=int, default=500,
-                   help="shed arrivals past this many queued requests "
-                        "(0 = off)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_pool_options(p, max_replicas=0, admit_rate=3500.0,
+                      admit_burst=200, shed_queue=500,
+                      ceiling_help="replica ceiling (0 = derive from the "
+                                   "capacity planner at the step rate)")
     p.set_defaults(func=_cmd_autoscale)
 
     p = sub.add_parser(
         "trace",
         help="replay a trace across the continuum with end-to-end "
              "tracing, Perfetto export, and SLO burn-rate alerts")
-    p.add_argument("--model", default="resnet50",
-                   help="model whose latency curve the replicas serve")
-    p.add_argument("--platform", default="jetson",
-                   help="platform each cloud replica models")
+    _add_model_options(p)
     p.add_argument("--link", default="station_ethernet",
                    help="edge->cloud network link preset")
     p.add_argument("--slo-ms", type=float, default=1000.0 / 60.0,
@@ -1497,25 +1420,14 @@ def build_parser() -> argparse.ArgumentParser:
                         "threshold")
     p.add_argument("--batch", type=int, default=4,
                    help="replica max batch size")
-    p.add_argument("--base-rate", type=float, default=60.0,
-                   help="background arrival rate (requests/s)")
-    p.add_argument("--step-rate", type=float, default=900.0,
-                   help="arrival rate during the burst (requests/s)")
-    p.add_argument("--step-start", type=float, default=3.0)
-    p.add_argument("--step-end", type=float, default=8.0)
-    p.add_argument("--duration", type=float, default=15.0)
+    _add_step_trace_options(p, base_rate=60.0, step_rate=900.0,
+                            step_start=3.0, step_end=8.0, duration=15.0)
     p.add_argument("--edge-preprocess-ms", type=float, default=2.0,
                    help="edge preprocessing time per image (ms)")
     p.add_argument("--image-kb", type=float, default=128.0,
                    help="uplink payload per image (KiB)")
-    p.add_argument("--max-replicas", type=int, default=4)
-    p.add_argument("--admit-rate", type=float, default=0.0,
-                   help="token-bucket admission rate (req/s; 0 = off)")
-    p.add_argument("--admit-burst", type=int, default=100)
-    p.add_argument("--shed-queue", type=int, default=300,
-                   help="shed arrivals past this many queued requests "
-                        "(0 = off)")
-    p.add_argument("--seed", type=int, default=0)
+    _add_pool_options(p, max_replicas=4, admit_rate=0.0,
+                      admit_burst=100, shed_queue=300)
     p.add_argument("--out", default=None,
                    help="write Chrome/Perfetto trace-event JSON here")
     p.set_defaults(func=_cmd_trace)
@@ -1576,10 +1488,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache hits)")
     p.add_argument("--dataset", default="crsa",
                    help="dataset whose frames the cameras capture")
-    p.add_argument("--model", default="resnet50",
-                   help="cloud-side model")
-    p.add_argument("--platform", default="a100",
-                   help="cloud-side platform")
+    _add_model_options(p, platform="a100")
     p.add_argument("--edge-ttl", type=float, default=30.0,
                    help="edge result freshness bound (s)")
     p.add_argument("--outage-start", type=float, default=0.0,
@@ -1669,11 +1578,7 @@ def build_parser() -> argparse.ArgumentParser:
              "serverless backend; print cold-start inflation, "
              "scale-to-zero stats, the GB-second bill, and the "
              "serverless-vs-provisioned crossover")
-    p.add_argument("--model", default="vit_base",
-                   help="model the function serves")
-    p.add_argument("--platform", default="jetson",
-                   help="hardware whose latency curve the function "
-                        "executes at")
+    _add_model_options(p, model="vit_base")
     p.add_argument("--faas-platform", default="container_faas",
                    help="serverless platform preset (see "
                         "repro.faas.platform)")

@@ -466,20 +466,16 @@ def _faas_workload(quick: bool):
 def _provisioned_replay(trace) -> tuple:
     """Baseline: the same trace through a provisioned replica."""
     from repro.serving.batcher import BatcherConfig
-    from repro.serving.events import Simulator
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.server import ModelConfig, TritonLikeServer
     from repro.serving.traces import TraceReplayer
 
-    sim = Simulator()
-    server = TritonLikeServer(
-        sim, registry=MetricsRegistry(clock=lambda: sim.now))
+    server = TritonLikeServer()
     server.register(ModelConfig(
         "infer", lambda n: 0.002 * n, instances=2,
         batcher=BatcherConfig(max_batch_size=8,
                               max_queue_delay=0.005)))
     TraceReplayer(server, "infer").schedule(trace)
-    sim.run()
+    server.run()
     ok = sum(1 for r in server.responses if r.status == "ok")
     return ok, 0, 0
 
@@ -489,7 +485,6 @@ def _faas_replay(trace, keep_alive: float) -> tuple:
     from repro.faas import FaaSBackend, FaaSFunctionConfig
     from repro.faas.platform import FaaSPlatformModel
     from repro.serving.events import Simulator
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.traces import TraceReplayer
 
     platform = FaaSPlatformModel(
@@ -497,8 +492,7 @@ def _faas_replay(trace, keep_alive: float) -> tuple:
         cold_start_jitter_seconds=0.1, artifact_bytes=100e6,
         artifact_bandwidth_bps=1e9, memory_gb=2.0)
     sim = Simulator()
-    backend = FaaSBackend(
-        sim, registry=MetricsRegistry(clock=lambda: sim.now), seed=7)
+    backend = FaaSBackend(sim, seed=7)
     backend.register(FaaSFunctionConfig(
         "infer", lambda n: 0.002 * n, platform=platform,
         concurrency_limit=32, keep_alive_seconds=keep_alive))

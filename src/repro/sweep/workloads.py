@@ -48,9 +48,7 @@ def replay_sparse_diurnal(params: dict) -> dict:
     """
     from repro.analysis.stats import nearest_rank_quantile
     from repro.serving.batcher import BatcherConfig
-    from repro.serving.observability import MetricsRegistry
     from repro.serving.profiler import SimProfiler
-    from repro.serving.events import Simulator
     from repro.serving.server import ModelConfig, TritonLikeServer
     from repro.serving.traces import TraceReplayer, sparse_diurnal_trace
     from repro.sweep.merge import BucketSummary
@@ -62,9 +60,8 @@ def replay_sparse_diurnal(params: dict) -> dict:
         night_rate=float(params.get("night_rate", 0.01)),
         seed=seed)
 
-    sim = Simulator()
-    registry = MetricsRegistry(clock=lambda: sim.now)
-    server = TritonLikeServer(sim, registry=registry)
+    server = TritonLikeServer()
+    sim = server.sim
     profiler = SimProfiler(clock=lambda: sim.now)
     server.attach_profiler(profiler)
     base = float(params.get("service_time_base", 0.012))
@@ -94,7 +91,7 @@ def replay_sparse_diurnal(params: dict) -> dict:
         "p95": nearest_rank_quantile(latencies, 0.95),
         "p99": nearest_rank_quantile(latencies, 0.99),
         "summary": summary,
-        "registry": registry,
+        "registry": server.metrics,
         "profiler": profiler,
     }
 

@@ -7,14 +7,36 @@ set -eu
 cd "$(dirname "$0")/.."
 python -m compileall -q src
 PYTHONPATH=src python -m pytest -x -q
-# Trace smoke: a short traced continuum replay must exit 0 and the
-# written Perfetto file must pass the Chrome trace-event schema check.
-TRACE_OUT="$(mktemp -t harvest_trace.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"' EXIT
-PYTHONPATH=src python -m repro trace --duration 6 --step-start 1 \
-    --step-end 3 --step-rate 700 --base-rate 60 --seed 2 \
-    --out "$TRACE_OUT" > /dev/null
-PYTHONPATH=src python - "$TRACE_OUT" <<'EOF'
+# CLI smokes + determinism.  same_output NAME ARTIFACTS EXTRA ARGS...
+# runs `repro ARGS` twice, each in its own fresh directory under one
+# temp dir (the second run with EXTRA appended), and requires exit 0
+# plus byte-identical stdout and ARTIFACTS (the space-separated
+# relative paths the command writes).
+ROOT="$PWD"
+WORK="$(mktemp -d -t harvest_ci.XXXXXX)"
+trap 'rm -rf "$WORK"' EXIT
+same_output() {
+    name=$1 artifacts=$2 extra=$3
+    shift 3
+    mkdir "$WORK/$name.a" "$WORK/$name.b"
+    (cd "$WORK/$name.a" && PYTHONPATH="$ROOT/src" python -m repro "$@" \
+        > stdout)
+    # EXTRA and ARTIFACTS are word lists: split them on purpose.
+    (cd "$WORK/$name.b" && PYTHONPATH="$ROOT/src" python -m repro "$@" \
+        $extra > stdout)
+    for file in stdout $artifacts; do
+        cmp "$WORK/$name.a/$file" "$WORK/$name.b/$file"
+    done
+    echo "$name smoke ok: stdout and artifacts byte-identical across runs"
+}
+same_output metrics "" "" metrics --requests 60 --rate 120 --seed 3
+same_output autoscale "" "" autoscale --duration 12 --step-start 2 \
+    --step-end 6
+# Trace: a short traced continuum replay; the written Perfetto file
+# must also pass the Chrome trace-event schema check.
+same_output trace "trace.json" "" trace --duration 6 --step-start 1 \
+    --step-end 3 --step-rate 700 --base-rate 60 --seed 2 --out trace.json
+PYTHONPATH=src python - "$WORK/trace.a/trace.json" <<'EOF'
 import sys
 from repro.serving.trace_export import validate_chrome_trace
 
@@ -22,39 +44,15 @@ payload = validate_chrome_trace(open(sys.argv[1]).read())
 assert payload["traceEvents"], "trace smoke produced no events"
 print(f"trace smoke ok: {len(payload['traceEvents'])} events")
 EOF
-# Cache smoke + determinism: the cache replay must exit 0 and two
-# identical invocations must produce byte-identical stdout and JSON.
-CACHE_DIR="$(mktemp -d -t harvest_cache.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR"' EXIT
-PYTHONPATH=src python -m repro cache --frames 80 --seed 1 \
-    --scene-change-rates 0.0,0.05,0.5 \
-    --out "$CACHE_DIR/cache.json" > "$CACHE_DIR/a.txt"
-cp "$CACHE_DIR/cache.json" "$CACHE_DIR/first.json"
-PYTHONPATH=src python -m repro cache --frames 80 --seed 1 \
-    --scene-change-rates 0.0,0.05,0.5 \
-    --out "$CACHE_DIR/cache.json" > "$CACHE_DIR/b.txt"
-cmp "$CACHE_DIR/a.txt" "$CACHE_DIR/b.txt"
-cmp "$CACHE_DIR/first.json" "$CACHE_DIR/cache.json"
-echo "cache smoke ok: deterministic across runs"
-# Network smoke + determinism: the contended-uplink replay must exit 0,
-# two identical invocations must produce byte-identical stdout, JSON
-# and Chrome trace, and the exported trace must pass the schema check.
-NET_DIR="$(mktemp -d -t harvest_network.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR"' EXIT
-PYTHONPATH=src python -m repro network --frames 15 --seed 1 \
-    --broker-messages 60 --outage-start 5 --outage-seconds 3 \
-    --out "$NET_DIR/network.json" \
-    --trace-out "$NET_DIR/network.trace.json" > "$NET_DIR/a.txt"
-cp "$NET_DIR/network.json" "$NET_DIR/first.json"
-cp "$NET_DIR/network.trace.json" "$NET_DIR/first.trace.json"
-PYTHONPATH=src python -m repro network --frames 15 --seed 1 \
-    --broker-messages 60 --outage-start 5 --outage-seconds 3 \
-    --out "$NET_DIR/network.json" \
-    --trace-out "$NET_DIR/network.trace.json" > "$NET_DIR/b.txt"
-cmp "$NET_DIR/a.txt" "$NET_DIR/b.txt"
-cmp "$NET_DIR/first.json" "$NET_DIR/network.json"
-cmp "$NET_DIR/first.trace.json" "$NET_DIR/network.trace.json"
-PYTHONPATH=src python - "$NET_DIR/network.trace.json" <<'EOF'
+same_output cache "cache.json" "" cache --frames 80 --seed 1 \
+    --scene-change-rates 0.0,0.05,0.5 --out cache.json
+# Network: the contended-uplink replay's stdout, JSON and Chrome trace;
+# the exported trace must also pass the schema check with uplink spans.
+same_output network "network.json network.trace.json" "" network \
+    --frames 15 --seed 1 --broker-messages 60 --outage-start 5 \
+    --outage-seconds 3 --out network.json \
+    --trace-out network.trace.json
+PYTHONPATH=src python - "$WORK/network.a/network.trace.json" <<'EOF'
 import sys
 from repro.serving.trace_export import validate_chrome_trace
 
@@ -62,61 +60,23 @@ payload = validate_chrome_trace(open(sys.argv[1]).read())
 uplinks = [e for e in payload["traceEvents"]
            if e.get("name") == "uplink"]
 assert uplinks, "network smoke produced no uplink spans"
-print(f"network smoke ok: deterministic, {len(uplinks)} uplink spans")
+print(f"network smoke ok: {len(uplinks)} uplink spans")
 EOF
-# Profile smoke + determinism: the profiled replay must exit 0 and two
-# identical invocations must produce byte-identical stdout, report
-# JSON, speedscope JSON, and folded stacks.
-PROF_DIR="$(mktemp -d -t harvest_profile.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR"' EXIT
-PYTHONPATH=src python -m repro profile --duration 4 \
-    --fluid-duration 40 --burst-rate 900 --seed 1 \
-    --out "$PROF_DIR/profile.json" \
-    --speedscope "$PROF_DIR/profile.speedscope.json" \
-    --folded-out "$PROF_DIR/profile.folded" > "$PROF_DIR/a.txt"
-cp "$PROF_DIR/profile.json" "$PROF_DIR/first.json"
-cp "$PROF_DIR/profile.speedscope.json" "$PROF_DIR/first.speedscope.json"
-cp "$PROF_DIR/profile.folded" "$PROF_DIR/first.folded"
-PYTHONPATH=src python -m repro profile --duration 4 \
-    --fluid-duration 40 --burst-rate 900 --seed 1 \
-    --out "$PROF_DIR/profile.json" \
-    --speedscope "$PROF_DIR/profile.speedscope.json" \
-    --folded-out "$PROF_DIR/profile.folded" > "$PROF_DIR/b.txt"
-cmp "$PROF_DIR/a.txt" "$PROF_DIR/b.txt"
-cmp "$PROF_DIR/first.json" "$PROF_DIR/profile.json"
-cmp "$PROF_DIR/first.speedscope.json" "$PROF_DIR/profile.speedscope.json"
-cmp "$PROF_DIR/first.folded" "$PROF_DIR/profile.folded"
-echo "profile smoke ok: deterministic across runs"
-# FaaS smoke + determinism: the serverless replay must exit 0 and two
-# identical invocations must produce byte-identical stdout and JSON.
-FAAS_DIR="$(mktemp -d -t harvest_faas.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR" "$FAAS_DIR"' EXIT
-PYTHONPATH=src python -m repro faas --duration 3600 --seed 1 \
-    --out "$FAAS_DIR/faas.json" > "$FAAS_DIR/a.txt"
-cp "$FAAS_DIR/faas.json" "$FAAS_DIR/first.json"
-PYTHONPATH=src python -m repro faas --duration 3600 --seed 1 \
-    --out "$FAAS_DIR/faas.json" > "$FAAS_DIR/b.txt"
-cmp "$FAAS_DIR/a.txt" "$FAAS_DIR/b.txt"
-cmp "$FAAS_DIR/first.json" "$FAAS_DIR/faas.json"
-echo "faas smoke ok: deterministic across runs"
-# Sweep smoke + cross-worker determinism: the same sweep run with one
-# worker and with a two-process pool must produce byte-identical
-# stdout, JSON, and merged metrics scrape — the engine's determinism
-# contract, checked end to end through the CLI.
-SWEEP_DIR="$(mktemp -d -t harvest_sweep.XXXXXX)"
-trap 'rm -f "$TRACE_OUT"; rm -rf "$CACHE_DIR" "$NET_DIR" "$PROF_DIR" "$FAAS_DIR" "$SWEEP_DIR"' EXIT
-PYTHONPATH=src python -m repro sweep --replications 4 --duration 600 \
-    --seed 7 --jobs 1 --out "$SWEEP_DIR/sweep.json" \
-    --metrics-out "$SWEEP_DIR/sweep.prom" > "$SWEEP_DIR/a.txt"
-cp "$SWEEP_DIR/sweep.json" "$SWEEP_DIR/first.json"
-cp "$SWEEP_DIR/sweep.prom" "$SWEEP_DIR/first.prom"
-PYTHONPATH=src python -m repro sweep --replications 4 --duration 600 \
-    --seed 7 --jobs 2 --out "$SWEEP_DIR/sweep.json" \
-    --metrics-out "$SWEEP_DIR/sweep.prom" > "$SWEEP_DIR/b.txt"
-cmp "$SWEEP_DIR/a.txt" "$SWEEP_DIR/b.txt"
-cmp "$SWEEP_DIR/first.json" "$SWEEP_DIR/sweep.json"
-cmp "$SWEEP_DIR/first.prom" "$SWEEP_DIR/sweep.prom"
-echo "sweep smoke ok: byte-identical across 1-worker and 2-worker runs"
+# Profile: stdout, report JSON, speedscope JSON and folded stacks.
+same_output profile \
+    "profile.json profile.speedscope.json profile.folded" "" profile \
+    --duration 4 --fluid-duration 40 --burst-rate 900 --seed 1 \
+    --out profile.json --speedscope profile.speedscope.json \
+    --folded-out profile.folded
+same_output faas "faas.json" "" faas --duration 3600 --seed 1 \
+    --out faas.json
+# Sweep cross-worker determinism: the same sweep with one worker and
+# (second run) a two-process pool must produce byte-identical stdout,
+# JSON, and merged metrics scrape — the engine's determinism contract,
+# checked end to end through the CLI.
+same_output sweep "sweep.json sweep.prom" "--jobs 2" sweep \
+    --replications 4 --duration 600 --seed 7 --jobs 1 --out sweep.json \
+    --metrics-out sweep.prom
 # Bench gates: every quick suite must verify (each scenario's baseline
 # and optimized sides agree: legacy parity, the DES-vs-fluid parity
 # contract, byte-identical scrapes with the profiler attached, equal
