@@ -77,22 +77,34 @@ def _kernel_scope(op: str):
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
            tally: MacTally | None = None,
-           pack: WeightPack | None = None) -> np.ndarray:
+           pack: WeightPack | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
     """``y = x @ W^T + b`` over the last axis.
 
     ``weight`` is ``(out, in)`` (PyTorch convention).  With a
     :class:`~repro.models.workspace.WeightPack` the GEMM consumes the
     pre-transposed contiguous operand instead of transposing per call;
-    the values are identical either way.
+    the values are identical either way.  ``out`` (contiguous, shaped
+    like the result) receives one 2D GEMM over all leading axes with
+    the bias added in place.
     """
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(
             f"linear: input features {x.shape[-1]} != weight in "
             f"{weight.shape[1]}")
     operand = (pack.linear_operand(weight) if pack is not None else None)
-    y = x @ (operand if operand is not None else weight.T)
-    if bias is not None:
-        y = y + bias
+    if operand is None:
+        operand = weight.T
+    if out is None:
+        y = x @ operand
+        if bias is not None:
+            y = y + bias
+    else:
+        np.matmul(x.reshape(-1, x.shape[-1]), operand,
+                  out=out.reshape(-1, out.shape[-1]))
+        if bias is not None:
+            out += bias
+        y = out
     if tally is not None:
         tally.add(x.size / x.shape[-1] * weight.size)
     return y
@@ -184,11 +196,26 @@ def batchnorm2d(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-              eps: float = 1e-6) -> np.ndarray:
-    """Layer normalization over the last axis."""
+              eps: float = 1e-6, out: np.ndarray | None = None,
+              ) -> np.ndarray:
+    """Layer normalization over the last axis.
+
+    ``out`` (shaped like ``x``, not ``x`` itself) receives the result
+    with no full-size temporary: the squared deviations are formed in
+    ``out`` and the deviations recomputed, the same operations
+    ``x.var`` performs, so the values are identical.
+    """
     mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    if out is None:
+        var = x.var(axis=-1, keepdims=True)
+        return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    np.square(np.subtract(x, mean, out=out), out=out)
+    var = out.mean(axis=-1, keepdims=True)
+    np.subtract(x, mean, out=out)
+    out /= np.sqrt(var + eps)
+    out *= gamma
+    out += beta
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -196,24 +223,48 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+_GELU_C = math.sqrt(2.0 / math.pi)
+#: Rows per cache-resident GELU block on the pooled path (~0.8 MB of
+#: float32 at ViT-Tiny's 768-wide hidden layer).
+_GELU_ROWS = 256
+
+
+def _gelu_gate(x: np.ndarray, inner: np.ndarray) -> None:
+    """``inner`` (holding ``x * x``) becomes ``1 + tanh(c(x + .044715x³))``."""
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    np.tanh(inner, out=inner)
+    inner += 1.0
+
+
+def gelu(x: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Tanh-approximated GELU (the ViT default).
 
     The cube is spelled ``x * x * x``: NumPy routes ``x ** 3`` through
     the generic scalar ``pow`` loop, which costs ~50x more than two
     multiplies and dominated the whole ViT forward.
+
+    With ``scratch`` (2D, as wide as ``x``'s last axis) the result
+    overwrites ``x`` one block of ``len(scratch)`` rows at a time, so
+    the nine passes stay cache-resident; ``x * gate`` is the same
+    product as ``gate * x``, so the values are identical.
     """
-    c = math.sqrt(2.0 / math.pi)
-    inner = x * x
-    inner *= x
-    inner *= 0.044715
-    inner += x
-    inner *= c
-    np.tanh(inner, out=inner)
-    inner += 1.0
-    inner *= x
-    inner *= 0.5
-    return inner
+    if scratch is None:
+        inner = x * x
+        _gelu_gate(x, inner)
+        inner *= x
+        inner *= 0.5
+        return inner
+    rows = x.reshape(-1, x.shape[-1])
+    for start in range(0, len(rows), len(scratch)):
+        block = rows[start:start + len(scratch)]
+        inner = np.multiply(block, block, out=scratch[:len(block)])
+        _gelu_gate(block, inner)
+        block *= inner
+        block *= 0.5
+    return x
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -250,11 +301,12 @@ def attention(qkv: np.ndarray, heads: int,
     ``qkv`` has shape ``(N, T, 3*D)``; returns ``(N, T, D)``.
 
     The slow path splits QKV and reshapes each third to heads (three
-    gather copies); with an arena the qkv→heads rearrangement is fused
-    into one ``copyto`` through a 5-axis view, the score matrix lands
-    in a pooled buffer, and the softmax runs in place.  Same math, two
-    fewer copies and zero steady-state allocations for the largest
-    intermediate (the ``N·heads·T²`` scores).
+    gather copies).  With an arena each image's heads are strided views
+    of ``qkv`` (no copy), its ``heads·T²`` scores land in one pooled
+    buffer that stays cache-resident, the softmax runs in place, and
+    the context matmul writes straight into the ``(N, T, D)`` layout
+    of a pooled output.  The per-head GEMMs are the same, so the
+    values are identical; the returned context aliases the arena.
     """
     n, t, three_d = qkv.shape
     if three_d % 3:
@@ -266,19 +318,19 @@ def attention(qkv: np.ndarray, heads: int,
     if tally is not None:
         tally.add(2.0 * n * t * t * d)  # QK^T and AV
     if arena is not None:
-        split = arena.take((3, n, heads, t, head_dim), qkv.dtype)
-        np.copyto(split, qkv.reshape(n, t, 3, heads, head_dim)
-                  .transpose(2, 0, 3, 1, 4))
-        q, k, v = split[0], split[1], split[2]
-        scores = arena.take((n, heads, t, t), qkv.dtype)
-        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-        scores /= math.sqrt(head_dim)
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        ctx = scores @ v  # (N, heads, T, head_dim)
-        return np.ascontiguousarray(
-            ctx.transpose(0, 2, 1, 3)).reshape(n, t, d)
+        scores = arena.take((heads, t, t), qkv.dtype, "scores")
+        ctx = arena.take((n, t, d), qkv.dtype, "context")
+        per_head = qkv.reshape(n, t, 3, heads, head_dim)
+        for image in range(n):
+            q, k, v = per_head[image].transpose(1, 2, 0, 3)
+            np.matmul(q, k.transpose(0, 2, 1), out=scores)
+            scores /= math.sqrt(head_dim)
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            np.matmul(scores, v, out=ctx[image].reshape(
+                t, heads, head_dim).transpose(1, 0, 2))
+        return ctx
     q, k, v = np.split(qkv, 3, axis=-1)
 
     def to_heads(a: np.ndarray) -> np.ndarray:
@@ -344,50 +396,74 @@ def vit_forward(cfg: ViTConfig, weights: dict[str, np.ndarray],
     substrate trains localized heads on.  ``pack=None`` runs the
     allocation-per-op reference path; a
     :class:`~repro.models.workspace.WeightPack` (what
-    :func:`build_functional` attaches) runs the pre-packed/arena fast
-    path with identical results and identical ``tally`` accounting.
+    :func:`build_functional` attaches) runs the pre-packed fast path,
+    whose activations live in one pooled buffer per role (each linear
+    one 2D GEMM, bias, residual, layernorm and GELU in place), with
+    identical results and identical ``tally`` accounting.  The
+    returned array is always fresh: it never aliases the pool.
     """
     n, c, h, wd = x.shape
     if (c, h, wd) != (cfg.in_channels, cfg.img_size, cfg.img_size):
         raise ValueError(
             f"expected input (N, {cfg.in_channels}, {cfg.img_size}, "
             f"{cfg.img_size}), got {x.shape}")
-    # Patch embedding is a stride=kernel conv.
     arena = pack.arena if pack is not None else None
+    t, d = cfg.tokens, cfg.dim
+    # Patch embedding is a stride=kernel conv.
     with _kernel_scope("patch_embed"):
         tokens = conv2d(x, weights["patch_embed.weight"],
                         weights["patch_embed.bias"],
                         stride=cfg.patch_size, tally=tally, pack=pack)
-        tokens = tokens.reshape(n, cfg.dim, -1).transpose(0, 2, 1)
-        cls = np.broadcast_to(weights["cls_token"], (n, 1, cfg.dim))
-        seq = np.concatenate([cls, tokens], axis=1) + weights["pos_embed"]
+        tokens = tokens.reshape(n, d, -1).transpose(0, 2, 1)
+        pos = weights["pos_embed"]
+        dtype = np.result_type(tokens, pos)
 
+        def buffer(tag: str, shape: tuple[int, ...]) -> np.ndarray | None:
+            # One pooled buffer per role on the pack path; None makes
+            # the reference path's ops allocate their results.
+            return None if arena is None else arena.take(shape, dtype, tag)
+
+        seq = buffer("residual", (n, t, d))
+        if seq is None:
+            seq = np.empty((n, t, d), dtype)
+        np.add(weights["cls_token"], pos[:1], out=seq[:, :1], dtype=dtype)
+        np.add(tokens, pos[1:], out=seq[:, 1:], dtype=dtype)
+
+    normed = buffer("normed", (n, t, d))
+    qkv_out = buffer("qkv", (n, t, 3 * d))
+    branch = buffer("branch", (n, t, d))
+    hidden = buffer("hidden", (n, t, cfg.mlp_hidden))
+    gelu_rows = buffer("gelu", (min(n * t, _GELU_ROWS), cfg.mlp_hidden))
     for i in range(cfg.depth):
         p = f"block{i}"
         with _kernel_scope("attention"):
             y = layernorm(seq, weights[f"{p}.norm1.gamma"],
-                          weights[f"{p}.norm1.beta"])
+                          weights[f"{p}.norm1.beta"], out=normed)
             qkv = linear(y, weights[f"{p}.qkv.weight"],
-                         weights[f"{p}.qkv.bias"], tally=tally, pack=pack)
+                         weights[f"{p}.qkv.bias"], tally=tally, pack=pack,
+                         out=qkv_out)
             ctx = attention(qkv, cfg.heads, tally=tally, arena=arena)
-            seq = seq + linear(ctx, weights[f"{p}.proj.weight"],
-                               weights[f"{p}.proj.bias"], tally=tally,
-                               pack=pack)
+            seq += linear(ctx, weights[f"{p}.proj.weight"],
+                          weights[f"{p}.proj.bias"], tally=tally,
+                          pack=pack, out=branch)
         with _kernel_scope("mlp"):
             y = layernorm(seq, weights[f"{p}.norm2.gamma"],
-                          weights[f"{p}.norm2.beta"])
+                          weights[f"{p}.norm2.beta"], out=normed)
             y = gelu(linear(y, weights[f"{p}.fc1.weight"],
                             weights[f"{p}.fc1.bias"], tally=tally,
-                            pack=pack))
-            seq = seq + linear(y, weights[f"{p}.fc2.weight"],
-                               weights[f"{p}.fc2.bias"], tally=tally,
-                               pack=pack)
+                            pack=pack, out=hidden), scratch=gelu_rows)
+            seq += linear(y, weights[f"{p}.fc2.weight"],
+                          weights[f"{p}.fc2.bias"], tally=tally,
+                          pack=pack, out=branch)
 
     with _kernel_scope("head"):
-        seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
+        # Layernorm is row-wise: normalizing only the class tokens gives
+        # the same values, in a fresh array that aliases no buffer.
+        cls = layernorm(seq[:, 0], weights["norm.gamma"],
+                        weights["norm.beta"])
         if return_features:
-            return seq[:, 0]
-        return linear(seq[:, 0], weights["head.weight"],
+            return cls
+        return linear(cls, weights["head.weight"],
                       weights["head.bias"], tally=tally, pack=pack)
 
 

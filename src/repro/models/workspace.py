@@ -7,8 +7,8 @@ weight for the GEMM, and every attention re-splits QKV into heads.  The
 arithmetic is identical across calls — only the *buffers* churn.  This
 module factors the churn out:
 
-* :class:`WorkspaceArena` — a ``(shape, dtype)``-keyed pool of scratch
-  arrays.  A forward pass asks for its im2col/attention workspaces by
+* :class:`WorkspaceArena` — a ``(tag, shape, dtype)``-keyed pool of
+  scratch arrays.  A forward pass asks for its workspaces by role and
   shape; steady-state repeated inference (the serving replay pattern)
   reuses the same buffers with zero new allocations.
 * :class:`WeightPack` — per-model GEMM-ready operands built once at
@@ -31,14 +31,15 @@ import numpy as np
 
 
 class WorkspaceArena:
-    """A ``(shape, dtype)``-keyed pool of reusable scratch arrays.
+    """A ``(tag, shape, dtype)``-keyed pool of reusable scratch arrays.
 
     ``take`` hands out a buffer that the caller must fully overwrite;
     the buffer stays parked under its key, so the next ``take`` with
-    the same shape returns the same memory.  Callers must therefore
-    finish consuming a buffer before requesting the same shape again —
-    the functional ops satisfy this by construction (each workspace is
-    reduced into a fresh array before the next layer runs).
+    the same tag and shape returns the same memory.  Callers must
+    therefore finish consuming a buffer before requesting the same key
+    again; buffers of one shape that are live at the same time (the
+    ViT residual stream and its normed copy) get distinct tags.
+    Nothing a forward pass returns may alias a pooled buffer.
     """
 
     __slots__ = ("_buffers",)
@@ -55,10 +56,10 @@ class WorkspaceArena:
         """Total bytes resident in the pool."""
         return sum(b.nbytes for b in self._buffers.values())
 
-    def take(self, shape: tuple[int, ...],
-             dtype=np.float32) -> np.ndarray:
+    def take(self, shape: tuple[int, ...], dtype=np.float32,
+             tag: str = "") -> np.ndarray:
         """An uninitialized scratch array of the given shape/dtype."""
-        key = (shape, np.dtype(dtype))
+        key = (tag, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
         if buf is None:
             buf = self._buffers[key] = np.empty(shape, dtype)

@@ -18,7 +18,9 @@ not a guess:
   bound-handle API exercises seed-era costs.
 * ``legacy_*`` kernels — the seed NumPy ops: per-call weight
   transposes, allocation-per-op im2col, split-and-reshape attention,
-  and the ``x ** 3`` GELU.
+  the ``x ** 3`` GELU, and per-call bilinear gathers.  They carry their
+  own copies of the seed bilinear sampling and layernorm, so the
+  baseline stays fixed when the live kernels change.
 
 These exist for measurement and for determinism cross-checks (the new
 tuple-heap simulator must fire in exactly the order the dataclass heap
@@ -422,24 +424,44 @@ def legacy_attention(qkv: np.ndarray, heads: int) -> np.ndarray:
     return ctx.transpose(0, 2, 1, 3).reshape(n, t, d)
 
 
+def _legacy_bilinear_gather(image: np.ndarray, xs: np.ndarray,
+                            ys: np.ndarray) -> np.ndarray:
+    """Seed vectorized bilinear sampling (edge-clamped taps)."""
+    h, w = image.shape[:2]
+    x0 = np.clip(np.floor(xs).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(ys).astype(np.int64), 0, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = np.clip(xs - x0, 0.0, 1.0)[..., None]
+    fy = np.clip(ys - y0, 0.0, 1.0)[..., None]
+    img = image.astype(np.float32) if image.dtype == np.uint8 else image
+    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
+    bottom = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+    return top * (1 - fy) + bottom * fy
+
+
+def _legacy_layernorm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                      eps: float = 1e-6) -> np.ndarray:
+    """Seed layer normalization over the last axis."""
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+
+
 def legacy_resize_bilinear(image: np.ndarray, out_h: int,
                            out_w: int) -> np.ndarray:
     """Seed resize: rebuild the coordinate mesh on every call."""
-    from repro.preprocessing.ops import _bilinear_gather
-
     h, w = image.shape[:2]
     scale_y, scale_x = h / out_h, w / out_w
     ys = (np.arange(out_h, dtype=np.float32) + 0.5) * scale_y - 0.5
     xs = (np.arange(out_w, dtype=np.float32) + 0.5) * scale_x - 0.5
     grid_x, grid_y = np.meshgrid(xs, ys)
-    return _bilinear_gather(image, grid_x, grid_y).astype(np.float32)
+    return _legacy_bilinear_gather(image, grid_x, grid_y).astype(np.float32)
 
 
 def legacy_warp_perspective(image: np.ndarray, homography: np.ndarray,
                             out_h: int, out_w: int) -> np.ndarray:
     """Seed warp: rebuild the homogeneous coordinate stack per call."""
-    from repro.preprocessing.ops import _bilinear_gather
-
     inv = np.linalg.inv(np.asarray(homography, dtype=np.float64))
     xs = np.arange(out_w, dtype=np.float64)
     ys = np.arange(out_h, dtype=np.float64)
@@ -453,7 +475,7 @@ def legacy_warp_perspective(image: np.ndarray, homography: np.ndarray,
         src_y = (mapped[1] / denom).reshape(out_h, out_w)
     src_x = np.nan_to_num(src_x, nan=-1.0)
     src_y = np.nan_to_num(src_y, nan=-1.0)
-    out = _bilinear_gather(image, src_x, src_y)
+    out = _legacy_bilinear_gather(image, src_x, src_y)
     h, w = image.shape[:2]
     inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
               & (src_y >= -0.5) & (src_y <= h - 0.5))
@@ -464,8 +486,6 @@ def legacy_warp_perspective(image: np.ndarray, homography: np.ndarray,
 def legacy_vit_forward(cfg, weights: dict[str, np.ndarray],
                        x: np.ndarray) -> np.ndarray:
     """Seed ViT forward pass (the kernel-bench baseline)."""
-    from repro.models.functional import layernorm
-
     n = x.shape[0]
     tokens = legacy_conv2d(x, weights["patch_embed.weight"],
                            weights["patch_embed.bias"],
@@ -476,20 +496,20 @@ def legacy_vit_forward(cfg, weights: dict[str, np.ndarray],
 
     for i in range(cfg.depth):
         p = f"block{i}"
-        y = layernorm(seq, weights[f"{p}.norm1.gamma"],
-                      weights[f"{p}.norm1.beta"])
+        y = _legacy_layernorm(seq, weights[f"{p}.norm1.gamma"],
+                              weights[f"{p}.norm1.beta"])
         qkv = legacy_linear(y, weights[f"{p}.qkv.weight"],
                             weights[f"{p}.qkv.bias"])
         ctx = legacy_attention(qkv, cfg.heads)
         seq = seq + legacy_linear(ctx, weights[f"{p}.proj.weight"],
                                   weights[f"{p}.proj.bias"])
-        y = layernorm(seq, weights[f"{p}.norm2.gamma"],
-                      weights[f"{p}.norm2.beta"])
+        y = _legacy_layernorm(seq, weights[f"{p}.norm2.gamma"],
+                              weights[f"{p}.norm2.beta"])
         y = legacy_gelu(legacy_linear(y, weights[f"{p}.fc1.weight"],
                                       weights[f"{p}.fc1.bias"]))
         seq = seq + legacy_linear(y, weights[f"{p}.fc2.weight"],
                                   weights[f"{p}.fc2.bias"])
 
-    seq = layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
+    seq = _legacy_layernorm(seq, weights["norm.gamma"], weights["norm.beta"])
     return legacy_linear(seq[:, 0], weights["head.weight"],
                          weights["head.bias"])

@@ -16,14 +16,14 @@ Array = np.ndarray
 
 
 class _GridCache:
-    """Bounded FIFO cache for sampling-coordinate grids.
+    """Bounded FIFO cache for sampling grids and tables.
 
     A preprocessing pipeline resizes (or warps) a stream of same-shaped
-    frames, recomputing identical target-coordinate meshes per frame;
-    those meshes depend only on the geometry, so they are cached keyed
-    by it.  Entries are marked read-only — downstream math never writes
-    into them.  The bound keeps a long multi-resolution sweep from
-    pinning every geometry it ever saw.
+    frames, recomputing identical sampling coordinates per frame; those
+    depend only on the geometry, so they are cached keyed by it.
+    Entries are marked read-only — downstream math never writes into
+    them.  The bound keeps a long multi-resolution sweep from pinning
+    every geometry it ever saw.
     """
 
     def __init__(self, maxsize: int = 8):
@@ -43,7 +43,7 @@ class _GridCache:
 
 
 _RESIZE_GRIDS = _GridCache()
-_WARP_COORDS = _GridCache()
+_WARP_TABLES = _GridCache()
 
 
 def _as_float(image: Array) -> Array:
@@ -154,42 +154,95 @@ def solve_homography(src: Array, dst: Array) -> Array:
     return np.append(h, 1.0).reshape(3, 3)
 
 
+def _warp_table(homography: Array, h: int, w: int,
+                out_h: int, out_w: int) -> tuple[Array, Array, Array]:
+    """The per-geometry sampling table of :func:`warp_perspective`.
+
+    Returns ``(base, fx, fy)`` over the ``out_h * out_w`` output pixels:
+    ``base`` (int32) is the flat index of each sample's top-left tap in
+    the edge-padded planar source that :func:`warp_perspective` builds
+    (row stride ``w + 1``), and ``fx``/``fy`` (float64) are its
+    bilinear fractions.  Clamping the right and bottom taps to the edge
+    becomes the padding column and row; a sample outside the source
+    frame points all four taps at the zero block after the padded
+    grid, so it reads 0, the value of a masked lerp.  Every
+    coordinate is computed with the same operations as per-call
+    sampling, so the table reproduces it bit for bit.
+    """
+    inv = np.linalg.inv(homography)
+    xs = np.arange(out_w, dtype=np.float64)
+    ys = np.arange(out_h, dtype=np.float64)
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    coords = np.stack([grid_x, grid_y, np.ones_like(grid_x)],
+                      axis=0).reshape(3, -1)
+    mapped = inv @ coords
+    denom = mapped[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        src_x = mapped[0] / denom
+        src_y = mapped[1] / denom
+    src_x = np.nan_to_num(src_x, nan=-1.0)
+    src_y = np.nan_to_num(src_y, nan=-1.0)
+    x0 = np.clip(np.floor(src_x).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(src_y).astype(np.int64), 0, h - 1)
+    fx = np.clip(src_x - x0, 0.0, 1.0)
+    fy = np.clip(src_y - y0, 0.0, 1.0)
+    inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
+              & (src_y >= -0.5) & (src_y <= h - 0.5))
+    stride = w + 1
+    base = np.where(inside, y0 * stride + x0,
+                    (h + 1) * stride).astype(np.int32)
+    return base, fx, fy
+
+
 def warp_perspective(image: Array, homography: Array,
                      out_h: int, out_w: int) -> Array:
     """Warp ``image`` through ``homography`` (dst→src inverse mapping).
 
     ``homography`` maps *source* to *destination* coordinates (the
-    :func:`solve_homography` convention); sampling inverts it.
+    :func:`solve_homography` convention); sampling inverts it.  Output
+    pixels whose source falls outside the frame are 0.
+
+    The sampling table (taps and bilinear fractions) depends only on
+    the homography and the input/output sizes, so it is built once per
+    geometry and cached; each frame then gathers its four taps from the
+    raw (uint8) pixels and runs the float64 lerp.
     """
     homography = np.asarray(homography, dtype=np.float64)
     if homography.shape != (3, 3):
         raise ValueError("homography must be 3x3")
     if min(out_h, out_w) < 1:
         raise ValueError("output size must be positive")
-    inv = np.linalg.inv(homography)
+    if image.ndim != 3:
+        raise ValueError(f"expected (H, W, C), got shape {image.shape}")
+    h, w, c = image.shape
+    base, fx, fy = _WARP_TABLES.get(
+        (homography.tobytes(), h, w, out_h, out_w),
+        lambda: _warp_table(homography, h, w, out_h, out_w))
 
-    def build() -> tuple[Array]:
-        xs = np.arange(out_w, dtype=np.float64)
-        ys = np.arange(out_h, dtype=np.float64)
-        grid_x, grid_y = np.meshgrid(xs, ys)
-        ones = np.ones_like(grid_x)
-        return (np.stack([grid_x, grid_y, ones], axis=0).reshape(3, -1),)
+    # Planar source, one padding column and row replicating the edge
+    # (the clamped taps), then zeros for out-of-frame samples.
+    stride = w + 1
+    zeros_at = (h + 1) * stride
+    src = np.empty((c, zeros_at + stride + 2), image.dtype)
+    grid = src[:, :zeros_at].reshape(c, h + 1, stride)
+    np.copyto(grid[:, :h, :w], image.transpose(2, 0, 1))
+    grid[:, :h, w] = grid[:, :h, w - 1]
+    grid[:, h] = grid[:, h - 1]
+    src[:, zeros_at:] = 0
 
-    (coords,) = _WARP_COORDS.get((out_h, out_w), build)
-    mapped = inv @ coords
-    denom = mapped[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        src_x = (mapped[0] / denom).reshape(out_h, out_w)
-        src_y = (mapped[1] / denom).reshape(out_h, out_w)
-    src_x = np.nan_to_num(src_x, nan=-1.0)
-    src_y = np.nan_to_num(src_y, nan=-1.0)
-    out = _bilinear_gather(image, src_x, src_y)
-    # Zero out samples falling outside the source frame.
-    h, w = image.shape[:2]
-    inside = ((src_x >= -0.5) & (src_x <= w - 0.5)
-              & (src_y >= -0.5) & (src_y <= h - 0.5))
-    out *= inside[..., None]
-    return out.astype(np.float32)
+    left = 1.0 - fx
+    top = np.multiply(src.take(base, axis=1), left)
+    tap = np.multiply(src.take(base + 1, axis=1), fx)
+    top += tap
+    bottom = np.multiply(src.take(base + stride, axis=1), left)
+    np.multiply(src.take(base + (stride + 1), axis=1), fx, out=tap)
+    bottom += tap
+    top *= 1.0 - fy
+    bottom *= fy
+    top += bottom
+    out = np.empty((out_h, out_w, c), np.float32)
+    np.copyto(out.reshape(-1, c).T, top)
+    return out
 
 
 def ground_plane_homography(width: int, height: int,
