@@ -21,11 +21,11 @@ Commands
                         at several scene-change rates; print the
                         tier-by-tier hit table, uplink bytes saved,
                         and p95 with/without the cache
-``bench``               run one bench suite (``--suite core``, ``fluid``,
-                        ``profile``, ``faas`` or ``sweep``): verify each
-                        scenario's baseline and optimized sides agree,
-                        time both, optionally write results JSON and
-                        check them against a committed reference
+``bench``               run one ratio bench suite (``--suite profile``,
+                        ``faas`` or ``sweep``): verify each scenario's
+                        baseline and optimized sides agree, time both,
+                        optionally write results JSON and check them
+                        against a committed reference
 ``profile``             run deterministic serving scenarios with the
                         sim-time profiler and exemplars enabled; print
                         the cost tree, folded stacks, the exemplar-
@@ -1511,15 +1511,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one bench suite: verify each scenario's baseline and "
              "optimized sides agree, time both, and optionally gate on "
              "a committed reference")
-    p.add_argument("--suite", default="core",
-                   choices=["core", "fluid", "profile", "faas", "sweep"],
+    p.add_argument("--suite", required=True,
+                   choices=["profile", "faas", "sweep"],
                    help="which suite to run (results name BENCH_<suite>)")
     p.add_argument("--quick", action="store_true",
                    help="smaller workloads (CI smoke test)")
     p.add_argument("--repeats", type=int, default=None,
                    help="timing repeats per side (default 2 with "
-                        "--quick; else 1 for fluid, 3 for sweep, 4 for "
-                        "the rest)")
+                        "--quick; else 3 for sweep, 4 for the rest)")
     p.add_argument("--jobs", type=int, default=4,
                    help="pool size for the sweep suite's optimized "
                         "side (other suites ignore it)")

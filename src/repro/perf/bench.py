@@ -8,12 +8,6 @@ results document.  :data:`SUITES` holds what differs per suite — the
 results name, the scenario builder, the full and quick floors, the
 default repeats and an optional post-step:
 
-* ``core`` (``BENCH_core``) — each optimized hot path against the seed
-  implementation preserved in :mod:`repro.perf.legacy`;
-* ``fluid`` (``BENCH_fluid``) — the hybrid fluid/DES engine against the
-  exact replay on saturated traces; verify is the parity contract, and
-  the post-step adds the frontier workload the exact engine cannot
-  replay, gated on a wall-clock ceiling instead of a speedup;
 * ``profile`` (``BENCH_profile``) — the observability layer's own
   overhead; verify compares metrics scrapes byte for byte;
 * ``faas`` (``BENCH_faas``) — the serverless backend against a
@@ -30,7 +24,9 @@ Each suite commits a full and a quick reference under
 ``BENCH_<suite>_quick.json``); CI runs ``repro bench --suite <suite>
 --quick --check benchmarks/results/BENCH_<suite>_quick.json`` for every
 suite, so an optimization that quietly rots fails the build instead of
-the next paper figure.
+the next paper figure.  The simulator core, instrumentation, kernel and
+fluid layers are timed end to end by ``perfbench/``; their correctness
+contracts are tier-1 tests.
 """
 
 from __future__ import annotations
@@ -45,11 +41,8 @@ from pathlib import Path
 from repro.perf.scenarios import (
     Scenario,
     build_faas_scenarios,
-    build_fluid_scenarios,
     build_profile_scenarios,
-    build_scenarios,
     build_sweep_scenarios,
-    run_fluid_frontier,
 )
 
 #: Relative band around the recorded speedup (0.5 = may lose up to half
@@ -103,11 +96,6 @@ def sweep_min_speedup(jobs: int, cpu_count: int | None = None,
     return 0.4 if quick else 0.5
 
 
-def _add_fluid_frontier(results: dict, quick: bool, jobs: int) -> None:
-    """BENCH_fluid post-step: time the workload exact replay cannot."""
-    results["frontier"] = run_fluid_frontier(quick=quick)
-
-
 def _apply_sweep_floor(results: dict, quick: bool, jobs: int) -> None:
     """BENCH_sweep post-step: hold the pool to this host's floor.
 
@@ -123,31 +111,6 @@ def _apply_sweep_floor(results: dict, quick: bool, jobs: int) -> None:
 
 
 SUITES: dict[str, Suite] = {
-    # Full floors are the acceptance bars of the optimization pass.
-    # Quick workloads amortize fixed setup over far less work, so the
-    # same code shows smaller speedups (and the tiny warp loop barely
-    # exercises the grid cache).
-    "core": Suite(
-        results_name="BENCH_core",
-        builder=lambda quick, jobs: build_scenarios(quick),
-        floors={"simulator_core": 1.2, "instrumented_serving": 2.0,
-                "vit_tiny_forward": 1.5, "preprocess_warp": 1.0},
-        quick_floors={"simulator_core": 1.2,
-                      "instrumented_serving": 1.4,
-                      "vit_tiny_forward": 1.5, "preprocess_warp": 0.85},
-        repeats=4),
-    # The diurnal workload spends most of its day saturated, so nearly
-    # all arrivals integrate analytically; the step workload has a
-    # larger exact fraction.  The short quick burst day is mostly
-    # unsaturated, where both engines run the same exact path.  One
-    # full repeat: the baseline replays ~1M arrivals exactly.
-    "fluid": Suite(
-        results_name="BENCH_fluid",
-        builder=lambda quick, jobs: build_fluid_scenarios(quick),
-        floors={"fluid_step_parity": 3.0, "fluid_burst_day": 1.5},
-        quick_floors={"fluid_step_parity": 2.0, "fluid_burst_day": 1.1},
-        repeats=1,
-        finish=_add_fluid_frontier),
     # Overhead bounds, not gains: 1.0 means the instrumentation is free.
     # Attached-but-disabled must stay within noise of free (the
     # zero-cost contract); the enabled profiler pays real perf_counter
@@ -242,10 +205,6 @@ def write_results(results: dict, path: str | Path) -> None:
     for entry in rounded.get("scenarios", {}).values():
         for field in ("baseline_seconds", "optimized_seconds", "speedup"):
             entry[field] = round(entry[field], 4)
-    frontier = rounded.get("frontier")
-    if frontier is not None:
-        for field in ("wall_seconds", "p95", "p99"):
-            frontier[field] = round(frontier[field], 4)
     path.write_text(json.dumps(rounded, indent=2, sort_keys=True) + "\n")
 
 
@@ -303,24 +262,6 @@ def check_regression(current: dict, reference: dict,
                 f"{name}: speedup {cur['speedup']:.2f}x below required "
                 f"{required:.2f}x (floor {floor:.2f}x, reference "
                 f"{ref['speedup']:.2f}x - {tolerance:.0%} band)")
-    ref_frontier = reference.get("frontier")
-    if ref_frontier is not None:
-        cur_frontier = current.get("frontier")
-        if cur_frontier is None:
-            failures.append(
-                f"{ref_frontier['name']}: missing from current run")
-        else:
-            ceiling = ref_frontier["max_seconds"]
-            if cur_frontier["wall_seconds"] > ceiling:
-                failures.append(
-                    f"{ref_frontier['name']}: wall time "
-                    f"{cur_frontier['wall_seconds']:.1f}s exceeds the "
-                    f"committed {ceiling:.1f}s ceiling")
-            if cur_frontier["arrivals"] != ref_frontier["arrivals"]:
-                failures.append(
-                    f"{ref_frontier['name']}: arrival count "
-                    f"{cur_frontier['arrivals']} != reference "
-                    f"{ref_frontier['arrivals']} (workload drifted)")
     return failures
 
 
@@ -335,15 +276,6 @@ def render_results(results: dict) -> str:
             f"{entry['baseline_seconds'] * 1e3:>8.1f}ms "
             f"{entry['optimized_seconds'] * 1e3:>8.1f}ms "
             f"{entry['speedup']:>7.2f}x")
-    frontier = results.get("frontier")
-    if frontier is not None:
-        lines.append(
-            f"{frontier['name']:<22} {frontier['layer']:<16} "
-            f"{'(infeasible)':>10} "
-            f"{frontier['wall_seconds'] * 1e3:>8.1f}ms "
-            f"{frontier['arrivals']:>7} arrivals, "
-            f"{frontier['fluid_intervals']} fluid stretches "
-            f"(ceiling {frontier['max_seconds']:.0f}s)")
     if "cpu_count" in results:
         floor = max(entry["min_speedup"]
                     for entry in results["scenarios"].values())

@@ -423,6 +423,13 @@ class TestBenchSuites:
         args = build_parser().parse_args(["bench", "--suite", name])
         assert args.suite == name
 
+    @pytest.mark.parametrize("suite", ["core", "fluid"])
+    def test_retired_suites_are_rejected(self, suite, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench", "--suite", suite, "--quick"])
+        assert exit_.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["fluid", "profile-bench",
                                          "faas-bench", "sweep-bench"])
     def test_old_bench_commands_are_gone(self, command, capsys):

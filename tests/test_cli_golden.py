@@ -111,7 +111,8 @@ def parser_spec(command: str) -> dict:
             "required": action.required,
         })
         if action.required and action.option_strings:
-            required += [action.option_strings[0], "placeholder"]
+            required += [action.option_strings[0],
+                         (action.choices or ["placeholder"])[0]]
     defaults = vars(build_parser().parse_args([command, *required]))
     defaults.pop("func")
     return {"defaults": defaults, "options": options}

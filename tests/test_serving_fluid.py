@@ -7,7 +7,15 @@ from repro.serving.batcher import BatcherConfig
 from repro.serving.faults import FaultModel
 from repro.serving.fluid import FluidConfig, HybridReplayer
 from repro.serving.server import ModelConfig, TritonLikeServer
-from repro.serving.traces import ArrivalTrace, TraceReplayer, step_trace
+from repro.serving.traces import (ArrivalTrace, TraceReplayer, burst_trace,
+                                  diurnal_trace, step_trace)
+
+#: Fluid parity contract: throughput exact, p95/p99/mean within this
+#: fraction (the recursion prices in-batch residency with one offset).
+FLUID_PARITY_RTOL = 0.12
+#: The median sits on the cliff between unsaturated and backlogged
+#: arrivals, where a small shift in the latency CDF moves it a lot.
+FLUID_PARITY_P50_RTOL = 0.30
 
 
 def make_server(instances=2, max_batch=32):
@@ -17,6 +25,16 @@ def make_server(instances=2, max_batch=32):
         "crop", service_time=lambda n: 0.01 + 0.02 * n,
         batcher=BatcherConfig(max_batch_size=max_batch,
                               max_queue_delay=0.05),
+        instances=instances))
+    return server
+
+
+def harvest_server(instances=2):
+    """64 images per 3.21 s batch: ~19.9 req/s per instance."""
+    server = TritonLikeServer()
+    server.register(ModelConfig(
+        "harvest", service_time=lambda n: 0.01 + 0.05 * n,
+        batcher=BatcherConfig(max_batch_size=64, max_queue_delay=0.1),
         instances=instances))
     return server
 
@@ -221,6 +239,66 @@ class TestParityWithExactDES:
                 float(np.quantile(des, q)), rel=0.10), key
         assert summary["mean"] == pytest.approx(
             float(des.mean()), rel=0.10)
+
+
+def _outcome(completed, latencies):
+    """The comparable outcome of one replay (either engine)."""
+    values = np.asarray(latencies, dtype=float)
+    p50, p95, p99 = np.quantile(values, [0.5, 0.95, 0.99])
+    return {"completed": completed, "mean": float(values.mean()),
+            "p50": float(p50), "p95": float(p95), "p99": float(p99)}
+
+
+#: (server factory, model, trace): a step overload past ~98 req/s of
+#: capacity, and a 1-hour survey-burst day at 60 req/s bursts against
+#: two ~19.9 req/s instances.
+PARITY_WORKLOADS = {
+    "step": (make_server, "crop", lambda: step_trace(
+        duration=300.0, base_rate=5.0, step_rate=120.0,
+        step_start=30.0, step_end=150.0, seed=3)),
+    "burst": (harvest_server, "harvest", lambda: burst_trace(
+        duration=3600.0, background_rate=6.0, bursts=4,
+        burst_rate=60.0, burst_seconds=100.0, seed=11)),
+}
+
+
+class TestFluidParityContract:
+    """Default-config hybrid replay against the exact engine."""
+
+    @pytest.mark.parametrize("workload", sorted(PARITY_WORKLOADS))
+    def test_hybrid_matches_exact_within_contract(self, workload):
+        make, model, make_trace = PARITY_WORKLOADS[workload]
+        trace = make_trace()
+        exact = make()
+        TraceReplayer(exact, model).schedule(trace)
+        exact.run()
+        hybrid = make()
+        replayer = HybridReplayer(hybrid, model)
+        replayer.schedule(trace)
+        hybrid.run()
+        base = _outcome(len(exact.responses),
+                        [r.latency for r in exact.responses if r.ok])
+        fluid = _outcome(replayer.completed, replayer.latencies())
+        assert fluid["completed"] == base["completed"] == len(trace)
+        for key, rtol in (("p95", FLUID_PARITY_RTOL),
+                          ("p99", FLUID_PARITY_RTOL),
+                          ("mean", FLUID_PARITY_RTOL),
+                          ("p50", FLUID_PARITY_P50_RTOL)):
+            assert fluid[key] == pytest.approx(base[key], rel=rtol), key
+
+    def test_deep_saturation_day_conserves_every_arrival(self):
+        # Hours at 1.5x capacity: too deep a backlog for the exact
+        # engine, so conservation stands in for pairwise parity.
+        trace = diurnal_trace(duration=21600.0, peak_rate=30.0,
+                              base_rate=0.5, daylight=(1800.0, 19800.0),
+                              seed=11)
+        server = harvest_server(instances=1)
+        replayer = HybridReplayer(server, "harvest")
+        replayer.schedule(trace)
+        server.run()
+        assert len(trace) == 349_136
+        assert replayer.completed == len(trace)
+        assert replayer.intervals
 
 
 class TestRegimeObservability:

@@ -77,14 +77,15 @@ same_output faas "faas.json" "" faas --duration 3600 --seed 1 \
 same_output sweep "sweep.json sweep.prom" "--jobs 2" sweep \
     --replications 4 --duration 600 --seed 7 --jobs 1 --out sweep.json \
     --metrics-out sweep.prom
-# Bench gates: every quick suite must verify (each scenario's baseline
-# and optimized sides agree: legacy parity, the DES-vs-fluid parity
-# contract, byte-identical scrapes with the profiler attached, equal
-# served counts, merge determinism across the pool) and hold its
-# committed quick-mode floors, bands and frontier ceiling.  The sweep
+# Ratio bench gates: every quick suite must verify (each scenario's
+# baseline and optimized sides agree: byte-identical scrapes with the
+# profiler attached, equal served counts, merge determinism across the
+# pool) and hold its committed quick-mode floors and bands.  The sweep
 # floor is core-count aware: 2.5x only where >=4 effective cores exist,
-# an overhead bound below that.
-for suite in core fluid profile faas sweep; do
+# an overhead bound below that.  The simulator core, kernel and fluid
+# layers are timed by perfbench below; their contracts (firing-order
+# parity, DES-vs-fluid parity, conservation) are tier-1 tests.
+for suite in profile faas sweep; do
     PYTHONPATH=src python -m repro bench --suite "$suite" --quick \
         --check "benchmarks/results/BENCH_${suite}_quick.json"
     echo "bench $suite ok: quick suite within committed bounds"
